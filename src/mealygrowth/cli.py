@@ -4,8 +4,6 @@ Words over the two generators are typed as strings of 0 (the involution
 f0) and 1 (the non-invertible generator f1), e.g. ``10110`` = f1 f0 f1 f1
 f0.  Numeric reports come out as CSV or JSON lines, one object per row,
 ordered by n; big integers are always printed in full decimal.
-
-Set ``MG_THREADS`` to parallelize independent oracle rows.
 """
 
 from __future__ import annotations
@@ -13,22 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import mealy, rewrite, series, tables
-from .errors import AutomatonFormatError, CapacityError
+from .errors import AutomatonFormatError, CapacityError, VerificationError
 
 ORACLE_CAP = 12
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit_rows(rows: list[dict], fmt: str, out=None):
@@ -44,15 +32,6 @@ def _emit_rows(rows: list[dict], fmt: str, out=None):
                 print(",".join(str(row[k]) for k in keys), file=out)
 
 
-def _map_ordered(fn, items):
-    """Apply fn over items, possibly threaded; results in input order."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- growth ----------------------------------------------------------------
 
 def cmd_growth(args) -> int:
@@ -64,9 +43,10 @@ def cmd_growth(args) -> int:
 
     oracle: dict[int, tuple[int, int]] = {}
     if args.oracle:
-        ns = list(range(1, min(N, ORACLE_CAP) + 1))
-        pairs = _map_ordered(lambda n: tables._stabilized(mealy.I2, n), ns)
-        oracle = dict(zip(ns, pairs))
+        oracle = {
+            n: tables.stabilized_growth(mealy.I2, n)
+            for n in range(1, min(N, ORACLE_CAP) + 1)
+        }
 
     rows = []
     for n in range(1, N + 1):
@@ -179,9 +159,8 @@ def _suite_oracle(args):
     nmax = min(args.nmax, ORACLE_CAP)
     gamma = series.automaton_growth_coeffs(nmax)
     ball = series.ball_growth_coeffs(nmax)
-    ns = list(range(1, nmax + 1))
-    pairs = _map_ordered(lambda n: tables._stabilized(mealy.I2, n), ns)
-    for n, (g, b) in zip(ns, pairs):
+    for n in range(1, nmax + 1):
+        g, b = tables.stabilized_growth(mealy.I2, n)
         yield f"oracle agreement at n={n}", (g, b) == (gamma[n], ball[n])
 
 
@@ -301,6 +280,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, AutomatonFormatError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

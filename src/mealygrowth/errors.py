@@ -5,6 +5,10 @@ class CapacityError(RuntimeError):
     """A configured resource cap (states, elements, level width) was exceeded."""
 
 
+class VerificationError(RuntimeError):
+    """Two independent routes to the same result disagreed."""
+
+
 class AutomatonFormatError(ValueError):
     """Malformed automaton description file."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tables
+from .errors import VerificationError
 from .mealy import I2, apply
 
 
@@ -196,7 +197,8 @@ def reduce_detailed(word) -> tuple[NormalForm, int]:
         new += [0, 1] * tail + [0] * eps2
         steps += 1
         w, steps = _cleanup(new, steps)
-    assert steps <= budget
+    if steps > budget:
+        raise VerificationError(f"{steps} relation applications exceed the bound {budget}")
     return nf, steps
 
 
@@ -308,7 +310,8 @@ def eval_test_word(nf: General, n: int) -> tuple[int, ...]:
             letter for i, r in enumerate(runs) for letter in [i % 2] * r
         )
     direct = apply_word(nf_to_word(nf), (0,) * n)
-    assert direct == pattern, "closed form disagrees with transducer application"
+    if direct != pattern:
+        raise VerificationError("closed form disagrees with transducer application")
     return pattern
 
 

@@ -3,8 +3,9 @@
 Series are truncated power series held as plain lists of Python ints, so
 all coefficient arithmetic is exact.  The three growth series of the I2
 monoid are driven by q(n), the number of partitions of n into distinct
-odd parts, and each coefficient routine computes its answer along at
-least two independent routes and asserts agreement before returning.
+odd parts.  Each is derived once, by its series route from q, and every
+coefficient is confirmed against a closed partition formula; a
+disagreement raises ``VerificationError``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .errors import VerificationError
 
 PI = math.pi
 #: exponent coefficient shared by all three growth asymptotics: exp(b sqrt(n))
@@ -101,84 +104,58 @@ def count_distinct_congruent(n: int, a_list, M: int) -> int:
 
 # --- growth coefficients --------------------------------------------------
 
-def _psi_core(N: int) -> list[int]:
-    """1 + X/(1-X) * Psi(X): the common factor of all three series."""
-    inner = divide_one_minus_xk(shift(odd_distinct_partitions(N), 1), 1)
-    inner[0] += 1
-    return inner
-
-
 @lru_cache(maxsize=16)
-def _word_growth_cached(N: int) -> tuple[int, ...]:
+def _growth_series(N: int) -> tuple[tuple[int, ...], ...]:
+    """Delta, Gamma and Gamma_S through X^N, each derived once from q.
+
+    Delta = (1+X)(1 + X/(1-X) Psi(X)), Gamma = Delta/(1-X^2) and
+    Gamma_S = Delta/(1-X).  Every coefficient of each is confirmed against
+    its closed partition formula before the series are returned.
+    """
     q = odd_distinct_partitions(N)
-    # closed formula: delta(n) = q(n-1) + 2 * sum_{i<=n-2} q(i), n >= 2
-    closed = [0] * (N + 1)
-    closed[0] = 1
-    if N >= 1:
-        closed[1] = 2
-    running = 0
-    for n in range(2, N + 1):
-        running += q[n - 2]
-        closed[n] = q[n - 1] + 2 * running
-    # series route: (1 + X) * (1 + X/(1-X) Psi(X))
-    from_series = multiply_one_plus_xk(_psi_core(N), 1)
-    assert closed == from_series, "word growth routes disagree"
-    return tuple(closed)
+    # 1 + X/(1-X) Psi(X): the common factor of all three series
+    core = divide_one_minus_xk(shift(q, 1), 1)
+    core[0] += 1
+    delta = multiply_one_plus_xk(core, 1)
+    derived = (delta, divide_one_minus_xk(delta, 2), divide_one_minus_xk(delta, 1))
+
+    s0 = s1 = 0  # sums of q(i) and of i*q(i) over i < n
+    for n in range(N + 1):
+        closed = (
+            # delta(n) = q(n-1) + 2 sum_{i<=n-2} q(i) for n >= 2; 1, 2 below
+            2 * s0 - q[n - 1] if n >= 2 else n + 1,
+            1 + n * s0 - s1,
+            2 + (2 * n - 1) * s0 - 2 * s1 if n else 1,
+        )
+        for name, coeffs, value in zip(("Delta", "Gamma", "Gamma_S"), derived, closed):
+            if coeffs[n] != value:
+                raise VerificationError(
+                    f"{name}: series route disagrees with the closed form at n={n}"
+                )
+        s0 += q[n]
+        s1 += n * q[n]
+    return tuple(tuple(c) for c in derived)
 
 
 def word_growth_coeffs(N: int) -> list[int]:
     """delta(0..N): number of elements of minimal length exactly n."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    return list(_word_growth_cached(N))
+    return list(_growth_series(N)[0])
 
 
 def automaton_growth_coeffs(N: int) -> list[int]:
-    """Gamma(0..N): distinct products of exactly n generators.
-
-    Computed three ways: Delta/(1-X^2), the closed partition formula, and
-    the parity sum over word-growth coefficients.
-    """
+    """Gamma(0..N): distinct products of exactly n generators, Delta/(1-X^2)."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    delta = word_growth_coeffs(N)
-    from_series = divide_one_minus_xk(list(delta), 2)
-
-    q = odd_distinct_partitions(N)
-    closed = [0] * (N + 1)
-    closed[0] = 1
-    s0 = 0  # sum of q(i), i < n
-    s1 = 0  # sum of i*q(i), i < n
-    for n in range(1, N + 1):
-        s0 += q[n - 1]
-        s1 += (n - 1) * q[n - 1]
-        closed[n] = 1 + n * s0 - s1
-
-    parity = [
-        sum(delta[i] for i in range(n % 2, n + 1, 2)) for n in range(N + 1)
-    ]
-    assert from_series == closed == parity, "automaton growth routes disagree"
-    return from_series
+    return list(_growth_series(N)[1])
 
 
 def ball_growth_coeffs(N: int) -> list[int]:
-    """gamma_S(0..N): distinct products of at most n generators."""
+    """gamma_S(0..N): distinct products of at most n generators, Delta/(1-X)."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    delta = word_growth_coeffs(N)
-    from_series = divide_one_minus_xk(list(delta), 1)
-
-    q = odd_distinct_partitions(N)
-    closed = [0] * (N + 1)
-    closed[0] = 1
-    s0 = 0
-    s1 = 0
-    for n in range(1, N + 1):
-        s0 += q[n - 1]
-        s1 += (n - 1) * q[n - 1]
-        closed[n] = 2 + (2 * n - 1) * s0 - 2 * s1
-    assert from_series == closed, "ball growth routes disagree"
-    return from_series
+    return list(_growth_series(N)[2])
 
 
 # --- asymptotics ----------------------------------------------------------

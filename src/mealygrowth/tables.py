@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, VerificationError
 from .mealy import MealyAutomaton
 
 MAX_LEVEL_BITS = 24
@@ -260,14 +260,14 @@ def quotient_order(a: MealyAutomaton, n: int, max_elements: int = 2_000_000) -> 
     return layers.element_count
 
 
-def _stabilized(a: MealyAutomaton, n: int):
-    """Growth data at the stabilization level, confirmed one level deeper.
+def stabilized_growth(a: MealyAutomaton, n: int) -> tuple[int, int]:
+    """(sphere, ball) sizes at radius n, by BFS at the stabilization level.
 
     A product of n generators has normal-form exponents below n/2, and
     level k separates quotient normal forms with exponents under k-1, so
     floor(n/2)+2 suffices; the recomputation at the next level is a
     belt-and-braces check since faithfulness is only proven on infinite
-    words.
+    words, and a mismatch raises ``VerificationError``.
     """
     if n < 1:
         raise ValueError("radius must be >= 1")
@@ -277,18 +277,18 @@ def _stabilized(a: MealyAutomaton, n: int):
         layers = enumerate_monoid(gens, max_depth=n)
         results.append((layers.sphere_sizes[n], layers.cumulative[n]))
     if results[0] != results[1]:
-        raise RuntimeError(f"growth counts did not stabilize at radius {n}")
+        raise VerificationError(f"growth counts did not stabilize at radius {n}")
     return results[0]
 
 
 def spherical_growth_oracle(a: MealyAutomaton, n: int) -> int:
     """Number of distinct products of exactly n generators."""
-    return _stabilized(a, n)[0]
+    return stabilized_growth(a, n)[0]
 
 
 def ball_growth_oracle(a: MealyAutomaton, n: int) -> int:
     """Number of distinct products of at most n generators."""
-    return _stabilized(a, n)[1]
+    return stabilized_growth(a, n)[1]
 
 
 def endomorphism_count(m: int, k: int) -> int:

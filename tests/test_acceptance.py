@@ -30,13 +30,14 @@ from mealygrowth import (
     quotient_order,
     reduce_detailed,
     relation_sides,
+    stabilized_growth,
     verify_left_zero,
     verify_relation,
     width,
     word_growth_coeffs,
 )
 from mealygrowth.series import Q_ASYMPTOTE, divide_one_minus_xk
-from mealygrowth.tables import _stabilized, state_table_arrays
+from mealygrowth.tables import state_table_arrays
 from mealygrowth.rewrite import reduce as reduce_word
 
 
@@ -60,7 +61,7 @@ def test_01_quotient_orders():
 def test_02_series_vs_oracle():
     gamma = automaton_growth_coeffs(12)
     ball = ball_growth_coeffs(12)
-    oracle = [_stabilized(I2, n) for n in range(1, 13)]
+    oracle = [stabilized_growth(I2, n) for n in range(1, 13)]
     ok = all(oracle[n - 1] == (gamma[n], ball[n]) for n in range(1, 13))
     ok = ok and gamma[1:7] == [2, 4, 6, 9, 13, 18] and ball[1:6] == [3, 6, 10, 15, 22]
     report(2, "series-vs-bfs-oracle-1..12", ok)

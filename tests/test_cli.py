@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mealygrowth
 from mealygrowth import I2, format_automaton
 from mealygrowth.cli import main
 
@@ -38,12 +43,41 @@ class TestGrowth:
             assert row["oracle_gamma"] == row["gamma"]
             assert row["oracle_ball"] == row["gamma_ball"]
 
-    def test_threaded_oracle(self, capsys, monkeypatch):
-        monkeypatch.setenv("MG_THREADS", "4")
-        code, out, _ = run(capsys, "growth", "--N", "6", "--oracle", "--format", "json")
-        assert code == 0
-        ns = [json.loads(line)["n"] for line in out.strip().splitlines()]
-        assert ns == sorted(ns)
+
+# Run under ``python -O``: the route check must not be an assert.
+_FORCED_DISAGREEMENT = """
+import sys
+from mealygrowth import VerificationError, cli, series
+
+divide = series.divide_one_minus_xk
+
+def off_by_one(c, k):
+    out = divide(c, k)
+    if k == 2:
+        out[-1] += 1
+    return out
+
+series.divide_one_minus_xk = off_by_one
+try:
+    series.automaton_growth_coeffs(20)
+except VerificationError as exc:
+    print("raised:", exc)
+sys.exit(cli.main(["growth", "--N", "20"]))
+"""
+
+
+def test_route_disagreement_fails_under_optimize():
+    src = Path(mealygrowth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_DISAGREEMENT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout == "raised: Gamma: series route disagrees with the closed form at n=20\n"
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: Gamma: series route disagrees with the closed form at n=20"
+    ]
 
 
 class TestWordCommands:

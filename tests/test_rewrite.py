@@ -11,6 +11,7 @@ from mealygrowth import (
     I2,
     ONE,
     General,
+    VerificationError,
     enumerate_normal_forms,
     eval_test_word,
     format_word,
@@ -29,6 +30,7 @@ from mealygrowth import (
     words_equal,
     words_equal_quotient,
 )
+from mealygrowth import rewrite
 from mealygrowth.rewrite import apply_word
 
 words = st.lists(st.integers(0, 1), max_size=30).map(tuple)
@@ -154,6 +156,11 @@ class TestTestWords:
             eval_test_word(General(0, (), 0, 0), 4)
         with pytest.raises(ValueError):
             eval_test_word(General(1, (5,), 0, 0), 4)
+
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(rewrite, "apply_word", lambda word, letters: (1,) * len(letters))
+        with pytest.raises(VerificationError):
+            eval_test_word(General(1, (1, 3), 0, 0), 8)
 
     @given(st.lists(st.integers(0, 5), max_size=3))
     def test_agrees_with_transducer(self, raw):

@@ -18,11 +18,11 @@ from mealygrowth import (
     identity_table,
     pack_word,
     quotient_order,
+    stabilized_growth,
     table_of,
     unpack_word,
     word_table,
 )
-from mealygrowth.tables import _stabilized
 
 words = st.lists(st.integers(0, 1), max_size=10).map(tuple)
 
@@ -120,9 +120,9 @@ class TestEnumeration:
 class TestStabilizedOracle:
     def test_small_values(self):
         # (sphere, ball) for I2 at small radii
-        assert _stabilized(I2, 1) == (2, 3)
-        assert _stabilized(I2, 2) == (4, 6)
-        assert _stabilized(I2, 5) == (13, 22)
+        assert stabilized_growth(I2, 1) == (2, 3)
+        assert stabilized_growth(I2, 2) == (4, 6)
+        assert stabilized_growth(I2, 5) == (13, 22)
 
 
 class TestClosedForms:
