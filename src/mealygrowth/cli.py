@@ -286,6 +286,11 @@ def main(argv=None) -> int:
     except (ValueError, AutomatonFormatError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, OverflowError) as exc:
+        # a MemoryError usually carries no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

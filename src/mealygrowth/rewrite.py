@@ -12,7 +12,11 @@ Every element has a canonical minimal word: empty, ``0``, or
 
     0^e1  1 (01)^{p_1} 1 (01)^{p_2} 1 ... (01)^{p_k} 1 (01)^{tail}  0^e2
 
-with strictly increasing exponents p_1 < ... < p_k.
+with strictly increasing exponents p_1 < ... < p_k.  The word problem is
+decided in one left-to-right pass, linear in the word length: each letter
+applies at most one relation, every application shortens the word by two
+letters, so applications are counted as, and bounded by, half the length
+drop.
 """
 
 from __future__ import annotations
@@ -111,94 +115,77 @@ def nf_to_word(nf: NormalForm) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _cleanup(word, steps):
-    """Cancel 00 and collapse 111 -> 1 with a single stack pass."""
-    out = []
-    for c in word:
-        if c == 0 and out and out[-1] == 0:
-            out.pop()
-            steps += 1
-        elif c == 1 and len(out) >= 2 and out[-1] == 1 and out[-2] == 1:
-            out.pop()
-            steps += 1
-        else:
-            out.append(c)
-    return out, steps
+def _stream_reduce(word) -> tuple[NormalForm, int, int]:
+    """One left-to-right pass: (normal form, relation applications, letters).
 
-
-def _parse_blocks(word):
-    """Split a 00/111-free word into (eps1, exponent blocks, tail, eps2).
-
-    Returns a NormalForm directly when the word has no f1.
+    After each letter the state is the normal form of the prefix read so
+    far, 0^eps1 1 (01)^{p_1} 1 ... (01)^{p_k} 1 (01)^{tail} 0^{pending},
+    with p_1 < ... < p_k on ``stack``.  A new letter triggers at most one
+    relation, after which the state is a normal form again, so each letter
+    costs O(1).
     """
-    if not word:
-        return ONE
-    if word == [0]:
-        return F0
-    i = 0
     eps1 = 0
-    if word[0] == 0:
-        eps1 = 1
-        i = 1
-    assert word[i] == 1
-    i += 1
-    exps = []
-    n = len(word)
-    while True:
-        p = 0
-        while i + 1 < n and word[i] == 0 and word[i + 1] == 1:
-            p += 1
-            i += 2
-        if i == n:
-            return eps1, exps, p, 0
-        if word[i] == 1:
-            exps.append(p)
-            i += 1
+    started = False
+    stack: list[int] = []
+    tail = 0
+    pending = False
+    steps = 0
+    letters = 0
+    for c in word:
+        letters += 1
+        if c == 0:
+            if pending:  # 00 = empty
+                pending = False
+                steps += 1
+            elif started:
+                pending = True
+            elif eps1:  # 00 = empty, before the first f1
+                eps1 = 0
+                steps += 1
+            else:
+                eps1 = 1
+        elif c == 1:
+            if pending:  # extend the open block by 01
+                pending = False
+                tail += 1
+            elif not started:
+                started = True
+            elif tail and stack and stack[-1] >= tail:
+                # r_p with p = tail: 1 (01)^p 1 (01)^p 1 = 1 (01)^p 1 (01)^{p-1} 0
+                tail -= 1
+                pending = True
+                steps += 1
+            elif not tail and stack:
+                # 111 = 1: the last closed block reopens
+                tail = stack.pop()
+                steps += 1
+            else:
+                stack.append(tail)
+                tail = 0
         else:
-            assert i == n - 1 and word[i] == 0
-            return eps1, exps, p, 1
+            raise ValueError(f"invalid generator {c!r}")
+    if not started:
+        return (F0 if eps1 else ONE), steps, letters
+    return General(eps1, tuple(stack), tail, int(pending)), steps, letters
 
 
 def reduce_detailed(word) -> tuple[NormalForm, int]:
     """Reduce to normal form; also return the number of relation applications.
 
+    The decider is one left-to-right pass, linear in the word length.
     Every application (00-cancellation, 111-collapse, or r_p) shortens the
-    word by exactly two letters, so at most len(word)//2 are performed.
+    word by exactly two letters, so the count is half the length drop and
+    at most len(word)//2; both facts are checked on every call.
     """
-    w = []
-    for c in word:
-        if c not in (0, 1):
-            raise ValueError(f"invalid generator {c!r}")
-        w.append(c)
-    budget = len(w) // 2
-    steps = 0
-    w, steps = _cleanup(w, steps)
-    while True:
-        parsed = _parse_blocks(w)
-        if isinstance(parsed, NormalForm):
-            nf = parsed
-            break
-        eps1, exps, tail, eps2 = parsed
-        j = next(
-            (i for i in range(len(exps) - 1) if exps[i] >= exps[i + 1]), None
-        )
-        if j is None:
-            nf = General(eps1, tuple(exps), tail, eps2)
-            break
-        # apply r_p at the leftmost violating pair: the separator after
-        # block j+1 turns into f0 and one (f0 f1) pair of the block is lost
-        p = exps[j + 1]
-        new = [0] * eps1 + [1]
-        for i, e in enumerate(exps):
-            if i == j + 1:
-                new += [0, 1] * (p - 1) + [0]
-            else:
-                new += [0, 1] * e + [1]
-        new += [0, 1] * tail + [0] * eps2
-        steps += 1
-        w, steps = _cleanup(new, steps)
+    nf, steps, letters = _stream_reduce(word)
+    budget = letters // 2
     if steps > budget:
         raise VerificationError(f"{steps} relation applications exceed the bound {budget}")
+    if 2 * steps != letters - nf.word_length:
+        raise VerificationError(
+            f"{steps} relation applications do not account for the length drop "
+            f"{letters} -> {nf.word_length}"
+        )
     return nf, steps
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mealygrowth
-from mealygrowth import I2, format_automaton
+from mealygrowth import I2, format_automaton, rewrite
 from mealygrowth.cli import main
 
 
@@ -97,6 +97,20 @@ class TestWordCommands:
     def test_equal(self, capsys):
         assert run(capsys, "equal", "001", "1")[1].strip() == "true"
         assert run(capsys, "equal", "01", "10")[1].strip() == "false"
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError(), "error: MemoryError"),
+        (OverflowError("int too large to convert to float"),
+         "error: OverflowError: int too large to convert to float"),
+    ])
+    def test_resource_errors_exit_2(self, capsys, monkeypatch, exc, line):
+        def fail(word):
+            raise exc
+
+        monkeypatch.setattr(rewrite, "reduce_detailed", fail)
+        code, out, err = run(capsys, "reduce", "1011011")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [line]
 
     def test_equal_in_quotient(self, capsys):
         # f1(f0f1)^2 is a left zero at level 3 but not in the full monoid

@@ -1,11 +1,16 @@
 """Tests for the rewriting system and normal forms of the I2 monoid."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mealygrowth
 from mealygrowth import (
     F0,
     I2,
@@ -32,8 +37,32 @@ from mealygrowth import (
 )
 from mealygrowth import rewrite
 from mealygrowth.rewrite import apply_word
+from reference_rewrite import reference_reduce_detailed
 
 words = st.lists(st.integers(0, 1), max_size=30).map(tuple)
+
+
+def _block_word(blocks):
+    """1 (01)^e_1 1 (01)^e_2 1 ..., each block preceded by 0-2 stray 0s."""
+    word = [1]
+    for stray, e in blocks:
+        word += [0] * stray + [0, 1] * e + [1]
+    return tuple(word)
+
+
+# up to 11 blocks of at most 35 letters, about 400 letters; r_p fires
+# often, since neighbouring exponents are drawn independently
+block_words = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 16)), max_size=11
+).map(_block_word)
+
+
+def _seeded_block_word(seed, length):
+    rng = random.Random(seed)
+    word = [1]
+    while len(word) < length:
+        word += [0] * (rng.random() < 0.1) + [0, 1] * rng.randint(0, 16) + [1]
+    return tuple(word[:length])
 
 
 class TestParsing:
@@ -91,10 +120,29 @@ class TestReduce:
         assert steps <= len(w) // 2
         assert word_table(I2, w, 8) == word_table(I2, nf_to_word(nf), 8)
 
-    @given(words)
+    @given(words | block_words)
     def test_idempotent(self, w):
         nf = reduce(w)
         assert reduce(nf_to_word(nf)) == nf
+
+    @given(words)
+    @settings(max_examples=500)
+    def test_matches_reference(self, w):
+        assert reduce_detailed(w) == reference_reduce_detailed(w)
+
+    @given(block_words)
+    @settings(max_examples=300)
+    def test_matches_reference_on_block_words(self, w):
+        assert reduce_detailed(w) == reference_reduce_detailed(w)
+
+    @given(words | block_words)
+    def test_steps_are_half_the_length_drop(self, w):
+        nf, steps = reduce_detailed(w)
+        assert 2 * steps == len(w) - len(nf_to_word(nf))
+
+    @given(words | block_words)
+    def test_width_kept(self, w):
+        assert width(nf_to_word(reduce(w))) == width(w)
 
     @given(words, words)
     @settings(max_examples=100)
@@ -112,6 +160,56 @@ class TestReduce:
             w1 = tuple(w[:pos]) + lhs + tuple(w[pos:])
             w2 = tuple(w[:pos]) + rhs + tuple(w[pos:])
             assert reduce(w1) == reduce(w2)
+
+
+class TestLongWords:
+    def test_hundred_thousand_letters(self):
+        w = _seeded_block_word(1, 100_000)
+        nf, steps = reduce_detailed(w)
+        nf_word = nf_to_word(nf)
+        assert reduce_detailed(nf_word) == (nf, 0)
+        assert 2 * steps == len(w) - len(nf_word)
+        assert steps <= len(w) // 2
+        assert width(nf_word) == width(w)
+
+    def test_level_12_table_kept(self):
+        w = _seeded_block_word(2, 20_000)
+        assert word_table(I2, w, 12) == word_table(I2, nf_to_word(reduce(w)), 12)
+
+
+# Run under ``python -O``: the step identity must not be an assert.  Two
+# applications for 1011011 -> 10110 stay within the bound of 3, so only the
+# identity 2 * steps == 7 - 5 catches the miscount.
+_STEP_MISCOUNT = """
+import sys
+from mealygrowth import VerificationError, cli, rewrite
+
+stream = rewrite._stream_reduce
+
+def miscount(word):
+    nf, steps, letters = stream(word)
+    return nf, steps + 1, letters
+
+rewrite._stream_reduce = miscount
+try:
+    rewrite.reduce_detailed(rewrite.parse_word("1011011"))
+except VerificationError as exc:
+    print("raised:", exc)
+sys.exit(cli.main(["reduce", "1011011"]))
+"""
+
+
+def test_step_miscount_fails_under_optimize():
+    src = Path(mealygrowth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _STEP_MISCOUNT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    message = "2 relation applications do not account for the length drop 7 -> 5"
+    assert proc.stdout == f"raised: {message}\n"
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 class TestQuotient:
