@@ -248,7 +248,7 @@ def verify_left_zero(n: int) -> tuple[bool, bool]:
        both absorption equations fail at level n+1)."""
     z = left_zero_word(n)
     zt = tables.word_table(I2, z, n)
-    constant = bool((zt.outputs == 2**n - 1).all())
+    constant = all(v == 2**n - 1 for v in zt.outputs)
     holds = (
         constant
         and tables.word_table(I2, z + (0,), n) == zt

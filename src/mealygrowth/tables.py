@@ -1,77 +1,112 @@
 """Exact enumeration oracle on finite tree levels.
 
-A semigroup element is represented by its action on all length-k input
-words: a flat array of m^k packed output words, indexed by packed input
-word (first letter in the most significant digit).  Products are array
-compositions, so element equality is plain array equality and the whole
-quotient semigroup at level k can be walked by breadth-first search.
+A semigroup element is stored by its wreath recursion (``unrolled_form``):
+a node is the image of the first letter plus the node ids of the sections
+one level down.  Nodes are hash-consed, so equal elements of one level
+have one id, and the product is one memoized recursion per level:
+(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  Tables from the public functions
+share one module store; each BFS interns into a store local to the call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from array import array
+from dataclasses import dataclass
 
 from .errors import CapacityError, VerificationError
-from .mealy import MealyAutomaton
+from .mealy import MealyAutomaton, unrolled_form
 
 MAX_LEVEL_BITS = 24
 
 _UNSEEN = -1
 
 
+class _Store:
+    """Interned wreath nodes: id -> (output map, section ids).  Id 0 is the
+    level-0 element, with no sections, where recursions over one level stop."""
+
+    def __init__(self):
+        self.nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.ids: dict[tuple, int] = {}
+        self.products: dict[tuple[int, int], int] = {}
+        self.intern((), ())
+
+    def intern(self, images: tuple[int, ...], sections: tuple[int, ...]) -> int:
+        key = (images, sections)
+        node = self.ids.get(key)
+        if node is None:
+            node = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return node
+
+    def compose(self, h: int, g: int) -> int:
+        """h o g for two nodes of the same level: apply g first."""
+        key = (h, g)
+        node = self.products.get(key)
+        if node is None:
+            (h_images, h_sections), (g_images, g_sections) = self.nodes[h], self.nodes[g]
+            node = self.products[key] = self.intern(
+                tuple([h_images[y] for y in g_images]),
+                tuple([self.compose(h_sections[y], s) for y, s in zip(g_images, g_sections)]),
+            )
+        return node
+
+    def copy(self, other: _Store, node: int, copied: dict[int, int]) -> int:
+        """Intern ``node`` of another store, with all of its sections, here."""
+        mine = copied.get(node)
+        if mine is None:
+            images, sections = other.nodes[node]
+            mine = copied[node] = self.intern(
+                images, tuple([self.copy(other, s, copied) for s in sections])
+            )
+        return mine
+
+    def states(self, a: MealyAutomaton, k: int) -> list[int]:
+        """Level-k node of every state of ``a``, built level by level."""
+        forms = [unrolled_form(a, q) for q in range(a.state_count)]
+        nodes = [0] * a.state_count
+        for _ in range(k):
+            nodes = [
+                self.intern(f.output_map, tuple([nodes[s] for s in f.successor_states]))
+                for f in forms
+            ]
+        return nodes
+
+
+_STORE = _Store()
+
+
+@dataclass(frozen=True)
 class TransformTable:
-    """Action of one semigroup element on all length-`level` words."""
+    """Action of one semigroup element on all length-`level` words.
 
-    __slots__ = ("level", "alphabet_size", "outputs")
+    A view of one node of the module store; equal tables have equal nodes.
+    """
 
-    def __init__(self, level: int, alphabet_size: int, outputs: np.ndarray, check: bool = True):
-        self.level = level
-        self.alphabet_size = alphabet_size
-        self.outputs = outputs
-        outputs.setflags(write=False)
-        if check:
-            self._validate()
+    level: int
+    alphabet_size: int
+    node: int
 
-    def _validate(self):
-        m, k = self.alphabet_size, self.level
-        size = m**k
-        if len(self.outputs) != size:
-            raise ValueError("output array length must be alphabet_size ** level")
-        if size and (self.outputs.min() < 0 or self.outputs.max() >= size):
-            raise ValueError("output entry out of range")
-        # prefix compatibility: the first j digits of the output depend only
-        # on the first j digits of the input
-        arr = self.outputs
-        for j in range(1, k):
-            chunk = m ** (k - j)
-            heads = (arr // chunk).reshape(m**j, chunk)
-            if not (heads == heads[:, :1]).all():
-                raise ValueError(f"table is not prefix-compatible at depth {j}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TransformTable):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.alphabet_size == other.alphabet_size
-            and np.array_equal(self.outputs, other.outputs)
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.alphabet_size, self.outputs.tobytes()))
-
-    def __repr__(self):
-        return f"TransformTable(level={self.level}, m={self.alphabet_size})"
+    @property
+    def outputs(self) -> array:
+        """Packed output words indexed by packed input word, built on demand."""
+        k, m = self.level, self.alphabet_size
+        return array("q", [pack_word(self(unpack_word(v, k, m)), m) for v in range(m**k)])
 
     def __call__(self, word) -> tuple[int, ...]:
         """Apply to a word of exactly `level` letters."""
         if len(word) != self.level:
             raise ValueError("word length must equal table level")
-        return unpack_word(int(self.outputs[pack_word(word, self.alphabet_size)]),
-                           self.level, self.alphabet_size)
+        out, node = [], self.node
+        for x in word:
+            if not 0 <= x < self.alphabet_size:
+                raise ValueError(f"letter {x} out of range for alphabet of size "
+                                 f"{self.alphabet_size}")
+            images, sections = _STORE.nodes[node]
+            out.append(images[x])
+            node = sections[x]
+        return tuple(out)
 
 
 def pack_word(word, m: int = 2) -> int:
@@ -96,53 +131,37 @@ def _check_level(m: int, k: int):
         raise CapacityError(f"level {k} over alphabet {m} exceeds packing capacity")
 
 
-def state_table_arrays(a: MealyAutomaton, k: int) -> list[np.ndarray]:
-    """Raw output arrays at level k for every state, built level by level."""
-    _check_level(a.alphabet_size, k)
-    m = a.alphabet_size
-    tabs = [np.zeros(1, dtype=np.int64) for _ in range(a.state_count)]
-    for level in range(1, k + 1):
-        chunk = m ** (level - 1)
-        new = []
-        for q in range(a.state_count):
-            parts = [
-                a.outputs[q][x] * chunk + tabs[a.transitions[q][x]]
-                for x in range(m)
-            ]
-            new.append(np.concatenate(parts))
-        tabs = new
-    return tabs
-
-
 def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
     """Level-k restriction of the transformation induced by state q."""
     if not 0 <= q < a.state_count:
         raise ValueError(f"state {q} out of range")
-    arr = state_table_arrays(a, k)[q]
-    return TransformTable(k, a.alphabet_size, arr)
+    _check_level(a.alphabet_size, k)
+    return TransformTable(k, a.alphabet_size, _STORE.states(a, k)[q])
 
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
     _check_level(m, k)
-    return TransformTable(k, m, np.arange(m**k, dtype=np.int64), check=False)
+    node = 0
+    for _ in range(k):
+        node = _STORE.intern(tuple(range(m)), (node,) * m)
+    return TransformTable(k, m, node)
 
 
 def compose(f: TransformTable, g: TransformTable) -> TransformTable:
     """f o g: apply g first.  Matches the juxtaposition convention."""
     if f.level != g.level or f.alphabet_size != g.alphabet_size:
         raise ValueError("tables must live on the same level and alphabet")
-    return TransformTable(f.level, f.alphabet_size, f.outputs[g.outputs], check=False)
+    return TransformTable(f.level, f.alphabet_size, _STORE.compose(f.node, g.node))
 
 
 def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     """Level-k table of a product of states, leftmost factor applied last."""
-    arrs = state_table_arrays(a, k)
-    result = np.arange(a.alphabet_size**k, dtype=np.int64)
-    # rightmost factor acts first: fold left-to-right so that the table
-    # becomes arrs[q0][arrs[q1][...x]]
+    result = identity_table(k, a.alphabet_size).node
+    states = _STORE.states(a, k)
+    # rightmost factor acts first: the left-to-right fold gives f_q0 o f_q1 o ...
     for q in word:
-        result = result[arrs[q]]
-    return TransformTable(k, a.alphabet_size, result, check=False)
+        result = _STORE.compose(result, states[q])
+    return TransformTable(k, a.alphabet_size, result)
 
 
 @dataclass
@@ -161,7 +180,6 @@ class GrowthLayers:
     cumulative: list[int]
     sphere_sizes: list[int]
     saturated: bool
-    tables: list[TransformTable] | None = field(default=None, repr=False)
 
     @property
     def element_count(self) -> int:
@@ -173,12 +191,11 @@ def enumerate_monoid(
     max_depth: int | None = None,
     max_elements: int = 2_000_000,
     spheres: bool = True,
-    keep_tables: bool = False,
 ) -> GrowthLayers:
     """BFS closure of the monoid generated by ``gens`` (identity included).
 
-    Deduplication keys the dict on the packed output bytes, so equality is
-    exact.  When ``spheres`` is set, the minimal product length of each
+    Elements are interned nodes of a store local to this call, so equality
+    is exact.  When ``spheres`` is set, the minimal product length of each
     element is tracked per length parity (relations can only change the
     length of a word by an even amount).
     """
@@ -186,69 +203,55 @@ def enumerate_monoid(
         raise ValueError("max_depth must be non-negative")
     if not gens:
         raise ValueError("need at least one generator")
-    level = gens[0].level
-    m = gens[0].alphabet_size
-    for g in gens:
-        if g.level != level or g.alphabet_size != m:
-            raise ValueError("generators must share level and alphabet")
-    gen_arrays = [g.outputs for g in gens]
-
-    ident = np.arange(m**level, dtype=np.int64)
+    level, m = gens[0].level, gens[0].alphabet_size
+    if any(g.level != level or g.alphabet_size != m for g in gens):
+        raise ValueError("generators must share level and alphabet")
+    store = _Store()
+    copied: dict[int, int] = {}
+    gen_nodes = [store.copy(_STORE, g.node, copied) for g in gens]
+    ident = store.copy(_STORE, identity_table(level, m).node, copied)
     # minimal reachable length per parity (even slot, odd slot)
-    dist: dict[bytes, list[int]] = {ident.tobytes(): [0, _UNSEEN]}
-    kept = [TransformTable(level, m, ident, check=False)] if keep_tables else None
-    frontier = [(ident, True)]  # (array, is_new_element)
-    layer_sizes = [1]
-    cumulative = [1]
+    dist: dict[int, list[int]] = {ident: [0, _UNSEEN]}
+    frontier = [ident]
+    layer_sizes, cumulative = [1], [1]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         par = depth & 1
         new_frontier = []
         new_elements = 0
-        for arr, _ in frontier:
-            for g in gen_arrays:
-                prod = arr[g]
-                key = prod.tobytes()
-                rec = dist.get(key)
+        for h in frontier:
+            for g in gen_nodes:
+                prod = store.compose(h, g)
+                rec = dist.get(prod)
                 if rec is None:
-                    dist[key] = rec = [_UNSEEN, _UNSEEN]
-                    rec[par] = depth
+                    dist[prod] = rec = [_UNSEEN, _UNSEEN]
                     new_elements += 1
-                    new_frontier.append((prod, True))
-                    if kept is not None:
-                        kept.append(TransformTable(level, m, prod, check=False))
-                elif spheres and rec[par] == _UNSEEN:
-                    rec[par] = depth
-                    new_frontier.append((prod, False))
+                elif not spheres or rec[par] != _UNSEEN:
+                    continue
+                rec[par] = depth
+                new_frontier.append(prod)
         if len(dist) > max_elements:
             raise CapacityError(f"element count exceeded cap {max_elements}")
         layer_sizes.append(new_elements)
         cumulative.append(cumulative[-1] + new_elements)
         frontier = new_frontier
 
-    saturated = not frontier
     sphere_sizes = _sphere_counts(dist.values(), len(cumulative) - 1) if spheres else []
-    return GrowthLayers(level, layer_sizes, cumulative, sphere_sizes, saturated, kept)
+    return GrowthLayers(level, layer_sizes, cumulative, sphere_sizes, not frontier)
 
 
 def _sphere_counts(records, max_depth: int) -> list[int]:
-    # sphere(d) = number of elements with a representation of length <= d
-    # and of the same parity as d (padding with an even number of f0^2's)
-    by_parity = ([], [])
+    # sphere(d) = number of elements with a representation of length <= d and
+    # of d's parity (padding with f0^2's); a record's slots hold such lengths
+    counts = [0] * (max_depth + 1)
     for rec in records:
-        for par in (0, 1):
-            if rec[par] != _UNSEEN:
-                by_parity[par].append(rec[par])
-    counts = []
-    for par in (0, 1):
-        hist = [0] * (max_depth + 2)
-        for d in by_parity[par]:
-            hist[d] += 1
-        for i in range(1, len(hist)):
-            hist[i] += hist[i - 1]
-        counts.append(hist)
-    return [counts[d & 1][d] for d in range(max_depth + 1)]
+        for d in rec:
+            if d != _UNSEEN:
+                counts[d] += 1
+    for d in range(2, max_depth + 1):
+        counts[d] += counts[d - 2]
+    return counts
 
 
 def quotient_order(a: MealyAutomaton, n: int, max_elements: int = 2_000_000) -> int:
@@ -256,8 +259,7 @@ def quotient_order(a: MealyAutomaton, n: int, max_elements: int = 2_000_000) -> 
     if n < 1:
         raise ValueError("level must be >= 1")
     gens = [table_of(a, q, n) for q in range(a.state_count)]
-    layers = enumerate_monoid(gens, max_elements=max_elements, spheres=False)
-    return layers.element_count
+    return enumerate_monoid(gens, max_elements=max_elements, spheres=False).element_count
 
 
 def stabilized_growth(a: MealyAutomaton, n: int) -> tuple[int, int]:
@@ -309,9 +311,7 @@ def hausdorff_sequence(K: int) -> list[float]:
     """log|S_n| / log|End_n| for n = 1..K (binary tree, I2 quotients)."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    terms = []
-    for n in range(1, K + 1):
-        terms.append(
-            math.log(i2_quotient_order_formula(n)) / ((2**n - 1) * math.log(4))
-        )
-    return terms
+    return [
+        math.log(i2_quotient_order_formula(n)) / ((2**n - 1) * math.log(4))
+        for n in range(1, K + 1)
+    ]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,22 @@ class TestQuotient:
         rows = [json.loads(line) for line in out.strip().splitlines()[1:]]
         assert rows[0] == {"level": 2, "depth": 0, "ball": 1, "sphere": 1, "new": 1}
         assert all(r["sphere"] <= r["ball"] for r in rows)
+
+    def test_level_13_fits_in_1_gib(self):
+        # 204,802 elements; under the cap, a representation that does not
+        # fit ends as a MemoryError (exit 2) instead of swapping or an OOM kill
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(mealygrowth.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mealygrowth.cli", "quotient", "--n", "13"],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1].startswith("13,204802,204802,True,")
 
 
 class TestVerify:

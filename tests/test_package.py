@@ -1,6 +1,9 @@
 """Package metadata."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mealygrowth
@@ -11,3 +14,13 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert match.group(1) == mealygrowth.__version__
+
+
+def test_import_leaves_numpy_out():
+    src = Path(mealygrowth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mealygrowth; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -1,6 +1,7 @@
 """Tests for the level-k transformation-table oracle."""
 
-import numpy as np
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from mealygrowth import (
     I2,
     CapacityError,
-    TransformTable,
+    MealyAutomaton,
     apply,
     compose,
     endomorphism_count,
@@ -23,8 +24,35 @@ from mealygrowth import (
     unpack_word,
     word_table,
 )
+from reference_tables import (
+    reference_compose,
+    reference_enumerate,
+    reference_state_tables,
+    reference_word_table,
+)
 
 words = st.lists(st.integers(0, 1), max_size=10).map(tuple)
+
+
+@st.composite
+def automata(draw):
+    """Random 1-3-state automata over 2 or 3 letters."""
+    m = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[st.integers(0, n - 1)] * m)
+    letters = st.tuples(*[st.integers(0, m - 1)] * m)
+    trans = draw(st.tuples(*[rows] * n))
+    outs = draw(st.tuples(*[letters] * n))
+    return MealyAutomaton(m, trans, outs)
+
+
+@st.composite
+def automaton_words(draw, count):
+    """An automaton, a level <= 4 and ``count`` words over its states."""
+    a = draw(automata())
+    k = draw(st.integers(0, 4))
+    state_words = st.lists(st.integers(0, a.state_count - 1), max_size=8).map(tuple)
+    return a, k, [draw(state_words) for _ in range(count)]
 
 
 class TestPacking:
@@ -53,15 +81,30 @@ class TestTableOf:
         with pytest.raises(CapacityError):
             table_of(I2, 0, 40)
 
-    def test_prefix_validation_rejects_garbage(self):
-        # swap outputs of inputs 00 and 10: first output digit would depend
-        # on the second input digit
-        arr = np.array([2, 1, 0, 3], dtype=np.int64)
-        with pytest.raises(ValueError):
-            TransformTable(2, 2, arr)
+    @pytest.mark.parametrize("word", [(-1, 0), (2, 0)])
+    def test_letter_out_of_range(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            table_of(I2, 0, 2)(word)
+
+    @given(automaton_words(0))
+    def test_outputs_match_reference(self, case):
+        a, k, _ = case
+        ref = reference_state_tables(a, k)
+        for q in range(a.state_count):
+            assert list(table_of(a, q, k).outputs) == ref[q]
 
 
 class TestCompose:
+    @given(automaton_words(2))
+    def test_matches_reference(self, case):
+        a, k, (w1, w2) = case
+        t1, t2 = word_table(a, w1, k), word_table(a, w2, k)
+        r1, r2 = reference_word_table(a, w1, k), reference_word_table(a, w2, k)
+        assert list(t1.outputs) == r1
+        assert list(t2.outputs) == r2
+        assert list(compose(t1, t2).outputs) == reference_compose(r1, r2)
+        assert (t1 == t2) == (r1 == r2)
+
     @given(words, words)
     @settings(max_examples=100)
     def test_matches_sequential_application(self, w1, w2):
@@ -110,11 +153,29 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             quotient_order(I2, 6, max_elements=50)
 
-    def test_keep_tables(self):
-        gens = [table_of(I2, q, 2) for q in range(2)]
-        layers = enumerate_monoid(gens, keep_tables=True)
-        assert len(layers.tables) == layers.element_count
-        assert len(set(layers.tables)) == layers.element_count
+    @given(automaton_words(0), st.integers(0, 6), st.booleans())
+    @settings(deadline=None)
+    def test_matches_reference(self, case, depth, spheres):
+        a, k, _ = case
+        gens = [table_of(a, q, k) for q in range(a.state_count)]
+        layers = enumerate_monoid(gens, max_depth=depth, spheres=spheres)
+        ref_gens = reference_state_tables(a, k)
+        assert (
+            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
+        ) == reference_enumerate(ref_gens, max_depth=depth, spheres=spheres)
+
+    def test_bfs_memory_is_freed_on_return(self):
+        gens = [table_of(I2, q, 10) for q in range(2)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layers = enumerate_monoid(gens, spheres=False)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layers.element_count == i2_quotient_order_formula(10)
+        assert peak - before > 5_000_000
+        assert after - before < 500_000
 
 
 class TestStabilizedOracle:
