@@ -3,9 +3,11 @@
 Series are truncated power series held as plain lists of Python ints, so
 all coefficient arithmetic is exact.  The three growth series of the I2
 monoid are driven by q(n), the number of partitions of n into distinct
-odd parts.  Each is derived once, by its series route from q, and every
-coefficient is confirmed against a closed partition formula; a
-disagreement raises ``VerificationError``.
+odd parts, computed by the Durfee-square sum and confirmed by the
+eta-quotient identity Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2, both O(N^1.5).
+Each growth series is derived once from q, and every coefficient is
+confirmed against a closed partition formula; a disagreement raises
+``VerificationError``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .errors import VerificationError
 
@@ -23,75 +27,74 @@ BETA = PI / math.sqrt(6)
 
 # --- exact series toolkit -------------------------------------------------
 
-def shift(c: list[int], k: int) -> list[int]:
-    """Multiply by X^k (same truncation order)."""
-    return [0] * min(k, len(c)) + c[: len(c) - k]
+def multiply_sparse(c: list[int], terms) -> list[int]:
+    """Multiply by sum a X^e over the (e, a) in ``terms``; keeps len(c) terms."""
+    n = len(c)
+    out = [0] * n
+    for e, a in terms:
+        if e < 0:
+            raise ValueError("exponents must be non-negative")
+        scaled = c if a in (1, -1) else map(mul, repeat(abs(a)), c)  # +-1: no multiply
+        out[e:] = map(add if a > 0 else sub, out[e:], scaled)
+    return out
 
 
 def divide_one_minus_xk(c: list[int], k: int) -> list[int]:
-    """Multiply by 1/(1 - X^k): strided running sums."""
+    """Multiply by 1/(1 - X^k): a running sum over each residue class mod k."""
+    if k < 1:
+        raise ValueError("k must be positive")
     out = list(c)
-    for i in range(k, len(out)):
-        out[i] += out[i - k]
+    for r in range(k):
+        out[r::k] = accumulate(out[r::k])
     return out
 
 
-def multiply_one_plus_xk(c: list[int], k: int) -> list[int]:
-    out = list(c)
-    for i in range(len(out) - 1, k - 1, -1):
-        out[i] += out[i - k]
-    return out
-
-
-def multiply_one_minus_xk(c: list[int], k: int) -> list[int]:
-    out = list(c)
-    for i in range(len(out) - 1, k - 1, -1):
-        out[i] -= out[i - k]
-    return out
+def _euler_terms(N: int, step: int) -> list[tuple[int, int]]:
+    """(X^step; X^step)_inf through X^N by the pentagonal number theorem."""
+    ks = range(1, math.isqrt(N // step) + 1)  # k^2 <= k(3k-1)/2 <= N/step
+    return [(0, 1)] + [(step * k * (3 * k + s) // 2, (-1) ** k) for k in ks for s in (-1, 1)]
 
 
 # --- partition counts -----------------------------------------------------
 
+def _durfee_sum(N: int) -> list[int]:
+    """q(0..N) as the sum over m of X^(m^2) / ((1-X^2)(1-X^4)...(1-X^(2m)))."""
+    total = term = [1] + [0] * N
+    for m in range(1, math.isqrt(N) + 1):
+        # term_m = term_{m-1} * X^(2m-1) / (1 - X^(2m))
+        term = divide_one_minus_xk(multiply_sparse(term, [(2 * m - 1, 1)]), 2 * m)
+        total = list(map(add, total, term))
+    return total
+
+
 @lru_cache(maxsize=16)
-def _odd_distinct_cached(N: int) -> tuple[int, ...]:
-    c = [0] * (N + 1)
-    c[0] = 1
-    for part in range(1, N + 1, 2):
-        for i in range(N, part - 1, -1):
-            c[i] += c[i - part]
-    return tuple(c)
+def _confirmed_q(N: int) -> tuple[int, ...]:
+    """The Durfee sum, confirmed by Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.
+
+    (X;X)(X^4;X^4) has constant term 1, so the identity through X^N fixes
+    q(0..N), and the first coefficient where it fails is the first wrong q(n).
+    """
+    q = _durfee_sum(N)
+    lhs = multiply_sparse(multiply_sparse(q, _euler_terms(N, 1)), _euler_terms(N, 4))
+    squares = _euler_terms(N, 2)
+    rhs = multiply_sparse(multiply_sparse([1] + [0] * N, squares), squares)
+    for n in range(N + 1):
+        if lhs[n] != rhs[n]:
+            raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
+    return tuple(q)
 
 
 def odd_distinct_partitions(N: int) -> list[int]:
-    """q(0..N): partitions into distinct odd parts, via the Euler product."""
+    """q(0..N): partitions into distinct odd parts, via the Durfee-square sum."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    return list(_odd_distinct_cached(N))
-
-
-def psi_sum_form(N: int) -> list[int]:
-    """Same series via sum over m of X^(m^2) / ((1-X^2)...(1-X^(2m)))."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    total = [0] * (N + 1)
-    term = [0] * (N + 1)
-    term[0] = 1
-    total[0] = 1
-    m = 1
-    while m * m <= N:
-        # term_m = term_{m-1} * X^(2m-1) / (1 - X^(2m))
-        term = shift(term, 2 * m - 1)
-        term = divide_one_minus_xk(term, 2 * m)
-        for i in range(N + 1):
-            total[i] += term[i]
-        m += 1
-    return total
+    return list(_confirmed_q(N))
 
 
 def count_distinct_congruent(n: int, a_list, M: int) -> int:
     """Partitions of n into distinct parts congruent to some a_i mod M."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if n < 0 or M < 1:
+        raise ValueError("n must be non-negative and M positive")
     residues = {a % M for a in a_list}
     c = [0] * (n + 1)
     c[0] = 1
@@ -114,9 +117,9 @@ def _growth_series(N: int) -> tuple[tuple[int, ...], ...]:
     """
     q = odd_distinct_partitions(N)
     # 1 + X/(1-X) Psi(X): the common factor of all three series
-    core = divide_one_minus_xk(shift(q, 1), 1)
+    core = divide_one_minus_xk(multiply_sparse(q, [(1, 1)]), 1)
     core[0] += 1
-    delta = multiply_one_plus_xk(core, 1)
+    delta = multiply_sparse(core, [(0, 1), (1, 1)])
     derived = (delta, divide_one_minus_xk(delta, 2), divide_one_minus_xk(delta, 1))
 
     s0 = s1 = 0  # sums of q(i) and of i*q(i) over i < n
@@ -199,8 +202,8 @@ def richmond_log_asymptote(a_list, M: int, s: int, n: int) -> float:
     exp(pi sqrt(sn/3M)), cross-checked against ``count_distinct_congruent``
     for several residue systems.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or M < 1:
+        raise ValueError("n and M must be >= 1")
     if math.gcd(*a_list, M) != 1:
         raise ValueError("gcd(a_1, ..., a_s, M) must be 1")
     if s != len(a_list):
@@ -312,6 +315,8 @@ def tauberian_probe(N: int, x_list, coeffs=None) -> list[TauberianRow]:
     """
     if coeffs is None:
         coeffs = ball_growth_coeffs(N)
+    if len(coeffs) <= N:
+        raise ValueError("coeffs must hold gamma_S(0..N)")
     rows = []
     for x in x_list:
         if not 0 < x < 1:

@@ -24,7 +24,6 @@ from mealygrowth import (
     odd_distinct_partitions,
     power,
     product,
-    psi_sum_form,
     quotient_order,
     reduce_detailed,
     relation_sides,
@@ -37,6 +36,7 @@ from mealygrowth import (
 )
 from mealygrowth.series import Q_ASYMPTOTE, divide_one_minus_xk
 from mealygrowth.rewrite import reduce as reduce_word
+from reference_series import reference_odd_distinct_partitions
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -104,7 +104,7 @@ def test_06_series_identities():
     gamma = automaton_growth_coeffs(N)
     ball = ball_growth_coeffs(N)
     ok = (
-        psi_sum_form(N) == q
+        reference_odd_distinct_partitions(N) == q
         and gamma == divide_one_minus_xk(list(delta), 2)
         and ball == divide_one_minus_xk(list(delta), 1)
     )

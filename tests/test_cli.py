@@ -51,6 +51,7 @@ import sys
 from mealygrowth import VerificationError, cli, series
 
 divide = series.divide_one_minus_xk
+series.odd_distinct_partitions(20)  # the Durfee sum divides by 1 - X^2 too
 
 def off_by_one(c, k):
     out = divide(c, k)
@@ -78,6 +79,37 @@ def test_route_disagreement_fails_under_optimize():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: Gamma: series route disagrees with the closed form at n=20"
+    ]
+
+
+# Run under ``python -O``: the eta-quotient check on q must not be an assert.
+_WRONG_Q = """
+import sys
+from mealygrowth import cli, series
+
+durfee = series._durfee_sum
+
+def off_by_one(N):
+    q = durfee(N)
+    q[-1] += 1
+    return q
+
+series._durfee_sum = off_by_one
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["growth", "--N", "20"], ["verify", "series", "--N", "20"]])
+def test_wrong_q_fails_under_optimize(argv):
+    src = Path(mealygrowth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_Q, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "error: q: Durfee sum fails the eta-quotient identity at n=20"
     ]
 
 

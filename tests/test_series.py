@@ -1,6 +1,7 @@
 """Tests for the generating series and asymptotic evaluators."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +16,46 @@ from mealygrowth import (
     growth_asymptotes,
     odd_distinct_partitions,
     partial_sum_check,
-    psi_sum_form,
     richmond_asymptote,
+    series,
     tauberian_probe,
     word_growth_coeffs,
 )
+from mealygrowth.errors import VerificationError
 from mealygrowth.series import (
     BETA,
     Q_ASYMPTOTE,
     TAUBERIAN_ALPHA,
     divide_one_minus_xk,
-    multiply_one_minus_xk,
+    multiply_sparse,
+    richmond_log_asymptote,
 )
+from reference_series import reference_odd_distinct_partitions
+
+
+class TestToolkit:
+    @pytest.mark.parametrize("e", range(6))
+    @pytest.mark.parametrize("a", [1, -1, 3])
+    def test_multiply_sparse_matches_naive_product(self, e, a):
+        c = [1, 2, 3]  # exponents 0 .. len(c) + 2
+        terms = [(e, a), (1, 2)]
+        full = [0] * (len(c) + e + 1)
+        for i, x in enumerate(c):
+            for j, b in terms:
+                full[i + j] += b * x
+        assert multiply_sparse(c, terms) == full[: len(c)]
+
+    @pytest.mark.parametrize("fn,args", [
+        (multiply_sparse, ([1, 2, 3], [(-1, 1)])),
+        (divide_one_minus_xk, ([1, 2, 3], 0)),
+        (divide_one_minus_xk, ([1, 2, 3], -1)),
+        (count_distinct_congruent, (5, [1], 0)),
+        (richmond_log_asymptote, ([1], 0, 1, 10)),
+        (tauberian_probe, (5, [0.5], [1, 3, 6, 10, 15])),
+    ])
+    def test_bad_arguments_raise_value_error(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
 
 
 class TestPartitions:
@@ -39,8 +68,25 @@ class TestPartitions:
 
     @given(st.integers(0, 400))
     @settings(max_examples=40)
-    def test_sum_form_agrees(self, N):
-        assert psi_sum_form(N) == odd_distinct_partitions(N)
+    def test_agrees_with_reference(self, N):
+        assert odd_distinct_partitions(N) == reference_odd_distinct_partitions(N)
+
+    @given(st.integers(0, 300).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))),
+           st.sampled_from([-2, -1, 1, 2]))
+    @settings(max_examples=40)
+    def test_wrong_coefficient_fails_at_its_n(self, case, delta):
+        N, n = case
+        durfee = series._durfee_sum
+
+        def corrupt(M):
+            q = durfee(M)
+            q[n] += delta
+            return q
+
+        series._confirmed_q.cache_clear()
+        with mock.patch.object(series, "_durfee_sum", corrupt):
+            with pytest.raises(VerificationError, match=f"at n={n}$"):
+                odd_distinct_partitions(N)
 
     @given(st.integers(0, 200))
     @settings(max_examples=40)
@@ -74,7 +120,7 @@ class TestGrowthCoefficients:
         ball = ball_growth_coeffs(N)
         assert gamma == divide_one_minus_xk(list(delta), 2)
         assert ball == divide_one_minus_xk(list(delta), 1)
-        assert list(delta) == multiply_one_minus_xk(list(ball), 1)
+        assert list(delta) == multiply_sparse(list(ball), [(0, 1), (1, -1)])
         # sphere counts inside the ball
         assert all(g <= b for g, b in zip(gamma, ball))
 
