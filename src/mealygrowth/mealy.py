@@ -145,30 +145,66 @@ def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
 
 
 def minimize(a: MealyAutomaton) -> MealyAutomaton:
-    """Collapse states inducing equal transformations (Moore refinement).
+    """Collapse states inducing equal transformations.
 
     Partition states by their output rows, then refine on successor blocks
     until stable.  All states are kept (no reachability pruning): every
     state defines a transformation and equivalence is on the full set.
+
+    The refinement is a worklist form of Moore's rounds.  ``bsig[b]`` is
+    the tuple of successor block ids shared by the members of block ``b``.
+    A state none of whose successors changed block id in the last round
+    keeps its signature, so each round recomputes signatures only for the
+    predecessors of the states that moved.  A dirty state whose signature
+    differs from ``bsig[b]`` leaves ``b``, grouped with the other leavers
+    of ``b`` by signature; the states that keep ``bsig[b]`` keep the id
+    ``b`` (if none do, the largest group keeps it).  Every round therefore
+    yields Moore's partition, and the loop stops, when no state moves,
+    where Moore's does.  Blocks are finally numbered by first occurrence,
+    so the states, their order and their labels are Moore's too.
     """
     n, m = a.state_count, a.alphabet_size
-    block = _assign_blocks([a.outputs[q] for q in range(n)])
-    while True:
-        sig = [
-            (block[q], tuple(block[a.transitions[q][x]] for x in range(m)))
-            for q in range(n)
-        ]
-        new_block = _assign_blocks(sig)
-        if new_block == block:
-            break
-        block = new_block
+    succ = a.transitions
+    block = _assign_blocks(a.outputs)
+    size = [0] * (max(block) + 1)
+    for b in block:
+        size[b] += 1
+    bsig = [None] * len(size)  # no signature yet: every state leaves in round one
+    preds = [[] for _ in range(n)]
+    for q, row in enumerate(succ):
+        for t in row:
+            preds[t].append(q)
+    dirty = range(n)
+    while dirty:
+        leavers = {}
+        for q in dirty:
+            b = block[q]
+            s = tuple([block[t] for t in succ[q]])
+            if s != bsig[b]:
+                leavers.setdefault(b, {}).setdefault(s, []).append(q)
+        moved = []
+        for b, groups in leavers.items():
+            pieces = sorted(groups.items(), key=lambda piece: len(piece[1]))
+            if size[b] == sum(len(qs) for _, qs in pieces):
+                # no member keeps bsig[b]: the largest group keeps b
+                bsig[b] = pieces.pop()[0]
+            for s, qs in pieces:
+                nb = len(size)
+                size.append(len(qs))
+                bsig.append(s)
+                size[b] -= len(qs)
+                for q in qs:
+                    block[q] = nb
+                moved.extend(qs)
+        dirty = {p for q in moved for p in preds[q]}
+    block = _assign_blocks(block)
     reps = {}
     for q in range(n):
         reps.setdefault(block[q], q)
     trans, outs, labels = [], [], []
     for b in range(len(reps)):
         q = reps[b]
-        trans.append(tuple(block[a.transitions[q][x]] for x in range(m)))
+        trans.append(tuple(block[t] for t in succ[q]))
         outs.append(tuple(a.outputs[q]))
         labels.append(a.label(q))
     return MealyAutomaton(m, tuple(trans), tuple(outs), tuple(labels))
@@ -197,12 +233,10 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
     cur = minimize(a)
     counts.append(cur.state_count)
     for _ in range(1, N):
-        nxt = product(cur, a)
-        if nxt.state_count > max_states:
-            raise CapacityError(
-                f"minimization of {nxt.state_count} states exceeds cap {max_states}"
-            )
-        cur = minimize(nxt)
+        states = cur.state_count * a.state_count
+        if states > max_states:
+            raise CapacityError(f"minimization of {states} states exceeds cap {max_states}")
+        cur = minimize(product(cur, a))
         counts.append(cur.state_count)
     return counts
 

@@ -24,10 +24,12 @@ from mealygrowth import (
     product,
     unrolled_form,
 )
+from mealygrowth import mealy, series
+from reference_mealy import reference_minimize
 
 
 def automata(max_states=4, m=2):
-    """Strategy producing random automata on a 2-letter alphabet."""
+    """Strategy producing random automata on an m-letter alphabet."""
     def build(n, flat_trans, flat_out):
         trans = tuple(tuple(flat_trans[q * m + x] % n for x in range(m)) for q in range(n))
         outs = tuple(tuple(flat_out[q * m + x] for x in range(m)) for q in range(n))
@@ -152,6 +154,12 @@ class TestMinimize:
         after = {apply(m1, q, w) for q in range(m1.state_count)}
         assert before == after
 
+    @given(st.integers(1, 3).flatmap(lambda m: automata(5, m)), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_moore_reference(self, a, k):
+        p = power(a, k)
+        assert format_automaton(minimize(p)) == format_automaton(reference_minimize(p))
+
 
 class TestGrowth:
     def test_i2_prefix(self):
@@ -160,9 +168,21 @@ class TestGrowth:
     def test_identity_growth_is_constant(self):
         assert automaton_growth(IDENTITY2, 3) == [1, 1, 1]
 
-    def test_cap_raises(self):
-        with pytest.raises(CapacityError):
+    def test_cap_raises(self, monkeypatch):
+        built = []
+        real_product = mealy.product
+
+        def recording_product(a, b):
+            built.append(a.state_count * b.state_count)
+            return real_product(a, b)
+
+        monkeypatch.setattr(mealy, "product", recording_product)
+        with pytest.raises(CapacityError, match="minimization of 8 states exceeds cap 5"):
             automaton_growth(I2, 10, max_states=5)
+        assert built == [4]
+
+    def test_i2_matches_series_at_40(self):
+        assert automaton_growth(I2, 40) == series.automaton_growth_coeffs(40)[1:]
 
 
 class TestIsomorphism:
