@@ -16,8 +16,6 @@ import sys
 from . import mealy, rewrite, series, tables
 from .errors import AutomatonFormatError, CapacityError, VerificationError
 
-ORACLE_CAP = 12
-
 
 def _emit_rows(rows: list[dict], fmt: str, out=None):
     out = out or sys.stdout
@@ -32,6 +30,18 @@ def _emit_rows(rows: list[dict], fmt: str, out=None):
                 print(",".join(str(row[k]) for k in keys), file=out)
 
 
+def _check_elements(count: int, cap: int):
+    """Fail fast, before a BFS that would store ``count`` elements over ``cap``."""
+    if count > cap:
+        raise CapacityError(f"element count {count} exceeds cap {cap}")
+
+
+def _i2_oracle(ball: list[int]) -> list[tuple[int, int]]:
+    """BFS table of I2 up to the end of the ball series, which it must store."""
+    _check_elements(ball[-1], tables.MAX_ELEMENTS)
+    return tables.stabilized_growth_table(mealy.I2, len(ball) - 1) if len(ball) > 1 else []
+
+
 # --- growth ----------------------------------------------------------------
 
 def cmd_growth(args) -> int:
@@ -41,12 +51,7 @@ def cmd_growth(args) -> int:
     ball = series.ball_growth_coeffs(N)
     q = series.odd_distinct_partitions(N)
 
-    oracle: dict[int, tuple[int, int]] = {}
-    if args.oracle:
-        oracle = {
-            n: tables.stabilized_growth(mealy.I2, n)
-            for n in range(1, min(N, ORACLE_CAP) + 1)
-        }
+    oracle = _i2_oracle(ball) if args.oracle else []
 
     rows = []
     for n in range(1, N + 1):
@@ -62,17 +67,13 @@ def cmd_growth(args) -> int:
             "ball_ratio": round(ball[n] / asy.ball_qform, 6) if asy else "",
         }
         if args.oracle:
-            if n in oracle:
-                row["oracle_gamma"], row["oracle_ball"] = oracle[n]
-            else:
-                row["oracle_gamma"] = row["oracle_ball"] = ""
+            row["oracle_gamma"], row["oracle_ball"] = oracle[n]
         rows.append(row)
     _emit_rows(rows, args.format)
-    if args.oracle:
-        bad = [n for n in oracle if oracle[n] != (gamma[n], ball[n])]
-        if bad:
-            print(f"oracle mismatch at n={bad}", file=sys.stderr)
-            return 1
+    bad = [n for n in range(1, len(oracle)) if oracle[n] != (gamma[n], ball[n])]
+    if bad:
+        print(f"oracle mismatch at n={bad}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -102,8 +103,9 @@ def cmd_equal(args) -> int:
 
 def cmd_quotient(args) -> int:
     n = args.n
-    order = tables.quotient_order(mealy.I2, n, max_elements=args.max_elements)
     formula = tables.i2_quotient_order_formula(n)
+    _check_elements(formula, args.max_elements)
+    order = tables.quotient_order(mealy.I2, n, max_elements=args.max_elements)
     term = math.log(order) / ((2**n - 1) * math.log(4))
     row = {
         "n": n,
@@ -151,12 +153,11 @@ def _suite_series(args):
 
 
 def _suite_oracle(args):
-    nmax = min(args.nmax, ORACLE_CAP)
-    gamma = series.automaton_growth_coeffs(nmax)
-    ball = series.ball_growth_coeffs(nmax)
-    for n in range(1, nmax + 1):
-        g, b = tables.stabilized_growth(mealy.I2, n)
-        yield f"oracle agreement at n={n}", (g, b) == (gamma[n], ball[n])
+    gamma = series.automaton_growth_coeffs(args.nmax)
+    ball = series.ball_growth_coeffs(args.nmax)
+    oracle = _i2_oracle(ball)
+    for n in range(1, args.nmax + 1):
+        yield f"oracle agreement at n={n}", oracle[n] == (gamma[n], ball[n])
 
 
 def _suite_width(args):
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="growth table: delta, gamma, ball, q, ratios")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help=f"add BFS oracle columns for n <= {ORACLE_CAP}")
+                   help="add BFS oracle columns")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_growth)
 
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=None,
                    help="also print level,depth,ball,sphere,new rows")
-    p.add_argument("--max-elements", type=int, default=2_000_000)
+    p.add_argument("--max-elements", type=int, default=tables.MAX_ELEMENTS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_quotient)
 

@@ -11,13 +11,16 @@ share one module store; each BFS interns into a store local to the call.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityError, VerificationError
 from .mealy import MealyAutomaton, unrolled_form
 
-MAX_LEVEL_BITS = 24
+MAX_ELEMENTS = 2_000_000
+# _Store.compose and _Store.copy recurse once per level
+MAX_LEVEL = sys.getrecursionlimit() // 4
 
 _UNSEEN = -1
 
@@ -92,6 +95,8 @@ class TransformTable:
     def outputs(self) -> array:
         """Packed output words indexed by packed input word, built on demand."""
         k, m = self.level, self.alphabet_size
+        if k * math.log2(m) > 24:  # the array has m**k entries
+            raise CapacityError(f"level {k} over alphabet {m} exceeds packing capacity")
         return array("q", [pack_word(self(unpack_word(v, k, m)), m) for v in range(m**k)])
 
     def __call__(self, word) -> tuple[int, ...]:
@@ -124,23 +129,23 @@ def unpack_word(value: int, k: int, m: int = 2) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _check_level(m: int, k: int):
+def _check_level(k: int):
     if k < 0:
         raise ValueError("level must be non-negative")
-    if k * math.log2(m) > MAX_LEVEL_BITS:
-        raise CapacityError(f"level {k} over alphabet {m} exceeds packing capacity")
+    if k > MAX_LEVEL:
+        raise CapacityError(f"level {k} exceeds the recursion bound {MAX_LEVEL}")
 
 
 def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
     """Level-k restriction of the transformation induced by state q."""
     if not 0 <= q < a.state_count:
         raise ValueError(f"state {q} out of range")
-    _check_level(a.alphabet_size, k)
+    _check_level(k)
     return TransformTable(k, a.alphabet_size, _STORE.states(a, k)[q])
 
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
-    _check_level(m, k)
+    _check_level(k)
     node = 0
     for _ in range(k):
         node = _STORE.intern(tuple(range(m)), (node,) * m)
@@ -189,7 +194,7 @@ class GrowthLayers:
 def enumerate_monoid(
     gens: list[TransformTable],
     max_depth: int | None = None,
-    max_elements: int = 2_000_000,
+    max_elements: int = MAX_ELEMENTS,
     spheres: bool = True,
 ) -> GrowthLayers:
     """BFS closure of the monoid generated by ``gens`` (identity included).
@@ -254,7 +259,7 @@ def _sphere_counts(records, max_depth: int) -> list[int]:
     return counts
 
 
-def quotient_order(a: MealyAutomaton, n: int, max_elements: int = 2_000_000) -> int:
+def quotient_order(a: MealyAutomaton, n: int, max_elements: int = MAX_ELEMENTS) -> int:
     """Size of the quotient monoid acting on length-n words, by full BFS."""
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -262,35 +267,40 @@ def quotient_order(a: MealyAutomaton, n: int, max_elements: int = 2_000_000) -> 
     return enumerate_monoid(gens, max_elements=max_elements, spheres=False).element_count
 
 
-def stabilized_growth(a: MealyAutomaton, n: int) -> tuple[int, int]:
-    """(sphere, ball) sizes at radius n, by BFS at the stabilization level.
+def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int]]:
+    """(sphere, ball) sizes at radii 0..nmax, by BFS at the stabilization level.
 
     A product of n generators has normal-form exponents below n/2, and
     level k separates quotient normal forms with exponents under k-1, so
-    floor(n/2)+2 suffices; the recomputation at the next level is a
-    belt-and-braces check since faithfulness is only proven on infinite
-    words, and a mismatch raises ``VerificationError``.
+    floor(nmax/2)+2 suffices for every n <= nmax.  The run one level deeper
+    is a belt-and-braces check, since faithfulness is only proven on infinite
+    words; ``VerificationError`` names the first radius where they differ.
     """
-    if n < 1:
+    if nmax < 1:
         raise ValueError("radius must be >= 1")
-    results = []
-    for k in (n // 2 + 2, n // 2 + 3):
+    runs = []
+    for k in (nmax // 2 + 2, nmax // 2 + 3):
         gens = [table_of(a, q, k) for q in range(a.state_count)]
-        layers = enumerate_monoid(gens, max_depth=n)
-        results.append((layers.sphere_sizes[n], layers.cumulative[n]))
-    if results[0] != results[1]:
-        raise VerificationError(f"growth counts did not stabilize at radius {n}")
-    return results[0]
+        layers = enumerate_monoid(gens, max_depth=nmax)
+        sphere, ball = layers.sphere_sizes, layers.cumulative
+        while len(ball) <= nmax:  # saturated early: balls stay, spheres repeat
+            sphere.append(sphere[-2])
+            ball.append(ball[-1])
+        runs.append(list(zip(sphere, ball)))
+    for n, (low, high) in enumerate(zip(*runs)):
+        if low != high:
+            raise VerificationError(f"growth counts did not stabilize at radius {n}")
+    return runs[0]
 
 
 def spherical_growth_oracle(a: MealyAutomaton, n: int) -> int:
     """Number of distinct products of exactly n generators."""
-    return stabilized_growth(a, n)[0]
+    return stabilized_growth_table(a, n)[n][0]
 
 
 def ball_growth_oracle(a: MealyAutomaton, n: int) -> int:
     """Number of distinct products of at most n generators."""
-    return stabilized_growth(a, n)[1]
+    return stabilized_growth_table(a, n)[n][1]
 
 
 def endomorphism_count(m: int, k: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mealygrowth
-from mealygrowth import I2, format_automaton, rewrite
+from mealygrowth import I2, format_automaton, rewrite, tables
 from mealygrowth.cli import main
 
 
@@ -37,10 +37,11 @@ class TestGrowth:
         assert row["gamma_ball"] == 3
 
     def test_growth_oracle_agrees(self, capsys):
-        code, out, _ = run(capsys, "growth", "--N", "6", "--oracle", "--format", "json")
+        code, out, _ = run(capsys, "growth", "--N", "30", "--oracle", "--format", "json")
         assert code == 0
-        for line in out.strip().splitlines():
-            row = json.loads(line)
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [row["n"] for row in rows] == list(range(1, 31))
+        for row in rows:
             assert row["oracle_gamma"] == row["gamma"]
             assert row["oracle_ball"] == row["gamma_ball"]
 
@@ -198,9 +199,46 @@ class TestVerify:
         assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
         assert "pass" in err
 
+    def test_oracle_reaches_30(self, capsys):
+        code, out, _ = run(capsys, "verify", "oracle", "--nmax", "30")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"check": f"oracle agreement at n={n}", "pass": True} for n in range(1, 31)
+        ]
+
+    def test_relations_at_the_level_bound(self, capsys):
+        level = str(tables.MAX_LEVEL)
+        code, _, err = run(capsys, "verify", "relations", "--pmax", "2", "--level", level)
+        assert (code, err) == (0, "relations: pass\n")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--N", "10000", "--oracle"],
+    ["verify", "oracle", "--nmax", "500"],
+    ["verify", "oracle", "--nmax", "200"],  # level 102 is within the level bound
+    ["quotient", "--n", "40"],
+    ["verify", "relations", "--level", str(tables.MAX_LEVEL + 1)],
+])
+def test_oversized_requests_fail_fast(argv):
+    # the caps are checked before any BFS; one that started would end in a
+    # MemoryError under the 1 GiB address space, or in the timeout
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(mealygrowth.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mealygrowth.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and " exceeds " in line
 
 
 class TestAutomaton:

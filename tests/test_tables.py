@@ -10,7 +10,10 @@ from mealygrowth import (
     I2,
     CapacityError,
     MealyAutomaton,
+    VerificationError,
     apply,
+    automaton_growth_coeffs,
+    ball_growth_coeffs,
     compose,
     endomorphism_count,
     enumerate_monoid,
@@ -19,8 +22,9 @@ from mealygrowth import (
     identity_table,
     pack_word,
     quotient_order,
-    stabilized_growth,
+    stabilized_growth_table,
     table_of,
+    tables,
     unpack_word,
     word_table,
 )
@@ -78,8 +82,19 @@ class TestTableOf:
         assert t(()) == ()
 
     def test_capacity_guard(self):
+        # nodes have no level limit; the per-level recursions do
+        bound = tables.MAX_LEVEL
+        assert table_of(I2, 0, 40).level == 40
+        assert word_table(I2, (1, 0, 1, 1, 0), bound).level == bound
+        gens = [table_of(I2, q, bound) for q in range(2)]
+        assert enumerate_monoid(gens, max_depth=3).cumulative == [1, 3, 6, 10]
         with pytest.raises(CapacityError):
-            table_of(I2, 0, 40)
+            table_of(I2, 0, bound + 1)
+        with pytest.raises(CapacityError):
+            word_table(I2, (1, 0), bound + 1)
+        # only the flat packed array has an m**k size limit
+        with pytest.raises(CapacityError):
+            table_of(I2, 0, 40).outputs
 
     @pytest.mark.parametrize("word", [(-1, 0), (2, 0)])
     def test_letter_out_of_range(self, word):
@@ -181,9 +196,48 @@ class TestEnumeration:
 class TestStabilizedOracle:
     def test_small_values(self):
         # (sphere, ball) for I2 at small radii
-        assert stabilized_growth(I2, 1) == (2, 3)
-        assert stabilized_growth(I2, 2) == (4, 6)
-        assert stabilized_growth(I2, 5) == (13, 22)
+        table = stabilized_growth_table(I2, 5)
+        assert table[1] == (2, 3)
+        assert table[2] == (4, 6)
+        assert table[5] == (13, 22)
+
+    def test_matches_series_to_40(self):
+        gamma, ball = automaton_growth_coeffs(40), ball_growth_coeffs(40)
+        table = stabilized_growth_table(I2, 40)
+        assert table == [(gamma[n], ball[n]) for n in range(41)]
+
+    @pytest.mark.parametrize("bad", [0, 1, 7, 12])
+    def test_mismatch_names_first_radius(self, monkeypatch, bad):
+        nmax = 12
+        enumerate_real = tables.enumerate_monoid
+
+        def shifted(gens, **kwargs):
+            layers = enumerate_real(gens, **kwargs)
+            if gens[0].level == nmax // 2 + 3:
+                layers.sphere_sizes[bad] += 1
+            return layers
+
+        monkeypatch.setattr(tables, "enumerate_monoid", shifted)
+        with pytest.raises(VerificationError, match=rf"at radius {bad}$"):
+            stabilized_growth_table(I2, nmax)
+
+    @pytest.mark.parametrize("outputs", [(1, 0), (0, 0)])
+    def test_saturated_monoid_fills_every_radius(self, outputs):
+        # one state: s swaps every letter (s^2 = 1) or e writes 0s (e^2 = e);
+        # both monoids saturate at depth 2, and the BFS then stops early
+        a = MealyAutomaton(2, ((0, 0),), (outputs,))
+        nmax, k = 7, 5
+        expected = []
+        for d in range(nmax + 1):
+            # the BFS's spheres count lengths <= d of d's parity
+            ball = {word_table(a, (0,) * e, k) for e in range(d + 1)}
+            sphere = {word_table(a, (0,) * e, k) for e in range(d % 2, d + 1, 2)}
+            expected.append((len(sphere), len(ball)))
+        assert stabilized_growth_table(a, nmax) == expected
+
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError):
+            stabilized_growth_table(I2, 0)
 
 
 class TestClosedForms:
