@@ -39,13 +39,17 @@ class MealyAutomaton:
             raise ValueError("automaton needs at least one state and one letter")
         if len(self.outputs) != n:
             raise ValueError("transition and output tables disagree on state count")
-        for q in range(n):
-            if len(self.transitions[q]) != m or len(self.outputs[q]) != m:
-                raise ValueError(f"state {q}: table rows must have {m} entries")
-            if any(not 0 <= t < n for t in self.transitions[q]):
-                raise ValueError(f"state {q}: transition entry out of range")
-            if any(not 0 <= o < m for o in self.outputs[q]):
-                raise ValueError(f"state {q}: output entry out of range")
+        flat = itertools.chain.from_iterable
+        if ({*map(len, self.transitions), *map(len, self.outputs)} != {m}
+                or not 0 <= min(flat(self.transitions)) <= max(flat(self.transitions)) < n
+                or not 0 <= min(flat(self.outputs)) <= max(flat(self.outputs)) < m):
+            for q in range(n):  # the first bad row names the error
+                if len(self.transitions[q]) != m or len(self.outputs[q]) != m:
+                    raise ValueError(f"state {q}: table rows must have {m} entries")
+                if any(not 0 <= t < n for t in self.transitions[q]):
+                    raise ValueError(f"state {q}: transition entry out of range")
+                if any(not 0 <= o < m for o in self.outputs[q]):
+                    raise ValueError(f"state {q}: output entry out of range")
         if self.state_labels is not None and len(self.state_labels) != n:
             raise ValueError("label count must match state count")
 

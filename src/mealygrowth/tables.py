@@ -3,9 +3,9 @@
 A semigroup element is stored by its wreath recursion (``unrolled_form``):
 a node is the image of the first letter plus the node ids of the sections
 one level down.  Nodes are hash-consed, so equal elements of one level
-have one id, and the product is one memoized recursion per level:
-(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  Tables from the public functions
-share one module store; each BFS interns into a store local to the call.
+have one id, and the product is one recursion per level, memoized per right
+factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  Tables from the public
+functions share one module store; each BFS interns into a store of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import CapacityError, VerificationError
 from .mealy import MealyAutomaton, unrolled_form
 
 MAX_ELEMENTS = 2_000_000
-# _Store.compose and _Store.copy recurse once per level
+# _Store.compose, _Store.factor and _Store.copy recurse once per level
 MAX_LEVEL = sys.getrecursionlimit() // 4
 
 _UNSEEN = -1
@@ -27,12 +27,15 @@ _UNSEEN = -1
 
 class _Store:
     """Interned wreath nodes: id -> (output map, section ids).  Id 0 is the
-    level-0 element, with no sections, where recursions over one level stop."""
+    level-0 element, with no sections, where recursions over one level stop.
+    Right factor r: factors[r] = (images, section factors), products[r] = {h: h o g}."""
 
     def __init__(self):
         self.nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.ids: dict[tuple, int] = {}
-        self.products: dict[tuple[int, int], int] = {}
+        self.factor_ids: dict[int, int] = {}
+        self.factors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.products: list[dict[int, int]] = []
         self.intern((), ())
 
     def intern(self, images: tuple[int, ...], sections: tuple[int, ...]) -> int:
@@ -43,16 +46,25 @@ class _Store:
             self.nodes.append(key)
         return node
 
-    def compose(self, h: int, g: int) -> int:
-        """h o g for two nodes of the same level: apply g first."""
-        key = (h, g)
-        node = self.products.get(key)
+    def factor(self, g: int) -> int:
+        """Dense index of node ``g`` as a right factor; its sections get one first."""
+        if g not in self.factor_ids:
+            self.factors.append((self.nodes[g][0], tuple(map(self.factor, self.nodes[g][1]))))
+            self.factor_ids[g] = len(self.products)
+            self.products.append({})
+        return self.factor_ids[g]
+
+    def compose(self, h: int, r: int) -> int:
+        """h o g for two nodes of the same level, where r = factor(g): apply g first."""
+        memo = self.products[r]
+        node = memo.get(h)
         if node is None:
-            (h_images, h_sections), (g_images, g_sections) = self.nodes[h], self.nodes[g]
-            node = self.products[key] = self.intern(
-                tuple([h_images[y] for y in g_images]),
-                tuple([self.compose(h_sections[y], s) for y, s in zip(g_images, g_sections)]),
-            )
+            (g_images, g_factors), (h_images, h_sections) = self.factors[r], self.nodes[h]
+            sections = []
+            for y, s in zip(g_images, g_factors):
+                p = self.products[s].get(h_sections[y])  # a memo hit makes no call
+                sections.append(self.compose(h_sections[y], s) if p is None else p)
+            node = memo[h] = self.intern(tuple([h_images[y] for y in g_images]), tuple(sections))
         return node
 
     def copy(self, other: _Store, node: int, copied: dict[int, int]) -> int:
@@ -156,13 +168,13 @@ def compose(f: TransformTable, g: TransformTable) -> TransformTable:
     """f o g: apply g first.  Matches the juxtaposition convention."""
     if f.level != g.level or f.alphabet_size != g.alphabet_size:
         raise ValueError("tables must live on the same level and alphabet")
-    return TransformTable(f.level, f.alphabet_size, _STORE.compose(f.node, g.node))
+    return TransformTable(f.level, f.alphabet_size, _STORE.compose(f.node, _STORE.factor(g.node)))
 
 
 def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     """Level-k table of a product of states, leftmost factor applied last."""
     result = identity_table(k, a.alphabet_size).node
-    states = _STORE.states(a, k)
+    states = [_STORE.factor(s) for s in _STORE.states(a, k)]
     # rightmost factor acts first: the left-to-right fold gives f_q0 o f_q1 o ...
     for q in word:
         result = _STORE.compose(result, states[q])
@@ -175,9 +187,9 @@ class GrowthLayers:
 
     ``layer_sizes[d]`` counts elements first reached at depth d (word
     growth of the enumerated quotient), ``cumulative[d]`` is the ball
-    size, and ``sphere_sizes[d]`` counts elements expressible as a
-    product of exactly d generators.  An element can lie in spheres of
-    several depths of the same parity, hence the separate tracking.
+    size, and ``sphere_sizes[d]`` counts elements with a representation
+    of length <= d and of d's parity.  That is the number of products of
+    exactly d generators when some generator is an involution (I2's f0).
     """
 
     level: int
@@ -201,8 +213,8 @@ def enumerate_monoid(
 
     Elements are interned nodes of a store local to this call, so equality
     is exact.  When ``spheres`` is set, the minimal product length of each
-    element is tracked per length parity (relations can only change the
-    length of a word by an even amount).
+    element is tracked per length parity; ``sphere_sizes`` is as described
+    in ``GrowthLayers``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
@@ -213,7 +225,7 @@ def enumerate_monoid(
         raise ValueError("generators must share level and alphabet")
     store = _Store()
     copied: dict[int, int] = {}
-    gen_nodes = [store.copy(_STORE, g.node, copied) for g in gens]
+    gen_factors = [store.factor(store.copy(_STORE, g.node, copied)) for g in gens]
     ident = store.copy(_STORE, identity_table(level, m).node, copied)
     # minimal reachable length per parity (even slot, odd slot)
     dist: dict[int, list[int]] = {ident: [0, _UNSEEN]}
@@ -226,8 +238,8 @@ def enumerate_monoid(
         new_frontier = []
         new_elements = 0
         for h in frontier:
-            for g in gen_nodes:
-                prod = store.compose(h, g)
+            for r in gen_factors:
+                prod = store.compose(h, r)
                 rec = dist.get(prod)
                 if rec is None:
                     dist[prod] = rec = [_UNSEEN, _UNSEEN]

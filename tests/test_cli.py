@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,15 @@ class TestVerify:
         level = str(tables.MAX_LEVEL)
         code, _, err = run(capsys, "verify", "relations", "--pmax", "2", "--level", level)
         assert (code, err) == (0, "relations: pass\n")
+
+    def test_left_zero_past_the_packing_limit(self, capsys):
+        # the left zero is checked by comparing nodes; no 2**n array is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "relations", "--pmax", "0", "--nmax", "30",
+                             "--level", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "relations: pass\n")
+        assert json.loads(out.splitlines()[-1]) == {"check": "left zero at level 30", "pass": True}
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

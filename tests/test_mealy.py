@@ -1,6 +1,7 @@
 """Tests for the generic Mealy automaton layer."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,33 @@ class TestApply:
     def test_length_preserving(self, a, q, w):
         q %= a.state_count
         assert len(apply(a, q, w)) == len(w)
+
+
+class TestValidation:
+    # the first bad row names the error; each whole-table check has a case of its own
+    @pytest.mark.parametrize("args,message", [
+        ((0, ((),), ((),)), "automaton needs at least one state and one letter"),
+        ((2, (), ()), "automaton needs at least one state and one letter"),
+        ((2, ((0, 0),), ((0, 0), (0, 0))),
+         "transition and output tables disagree on state count"),
+        ((2, ((0, 0), (0,), (5, 0)), ((0, 0), (0, 0), (0, 0))),
+         "state 1: table rows must have 2 entries"),
+        ((2, ((0, 0), (0, 0)), ((0, 0), (0, 1, 0))), "state 1: table rows must have 2 entries"),
+        ((2, ((0, 0), (0, 2)), ((0, 0), (0, 9))), "state 1: transition entry out of range"),
+        ((2, ((0, 0), (0, 2)), ((0, 0), (0, 0))), "state 1: transition entry out of range"),
+        ((2, ((0, -1), (0, 0)), ((0, 0), (0, 0))), "state 0: transition entry out of range"),
+        ((2, ((0, 0), (1, 1)), ((0, 2), (0, 0, 0))), "state 0: output entry out of range"),
+        ((2, ((0, 0), (1, 1)), ((0, 1), (2, 0))), "state 1: output entry out of range"),
+        ((3, ((0, 0, 0), (1, 1, 1)), ((0, 1, 2), (-1, 0, 0))),
+         "state 1: output entry out of range"),
+    ])
+    def test_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MealyAutomaton(*args)
+
+    def test_label_count(self):
+        with pytest.raises(ValueError, match="^label count must match state count$"):
+            MealyAutomaton(2, ((0, 0),), ((0, 1),), ("a", "b"))
 
 
 class TestWreathForm:

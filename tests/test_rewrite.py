@@ -16,6 +16,7 @@ from mealygrowth import (
     I2,
     ONE,
     General,
+    MealyAutomaton,
     VerificationError,
     enumerate_normal_forms,
     eval_test_word,
@@ -239,6 +240,17 @@ class TestRelationVerification:
     def test_left_zero_window(self):
         for n in range(1, 6):
             assert verify_left_zero(n) == (True, True)
+
+    @pytest.mark.parametrize("a", [
+        # both states the constant map to x0...
+        MealyAutomaton(2, ((0, 0), (1, 1)), ((0, 0), (0, 0))),
+        # both states g: write 1, then g after x0 and the identity after x1; g o g = g
+        MealyAutomaton(2, ((0, 2), (1, 2), (2, 2)), ((1, 1), (1, 1), (0, 1))),
+    ])
+    def test_absorbing_non_constant_map_fails(self, monkeypatch, a):
+        # every word over states 0, 1 absorbs, but is not the constant map to x1...
+        monkeypatch.setattr(rewrite, "I2", a)
+        assert verify_left_zero(3) == (False, False)
 
 
 class TestTestWords:

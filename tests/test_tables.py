@@ -120,6 +120,23 @@ class TestCompose:
         assert list(compose(t1, t2).outputs) == reference_compose(r1, r2)
         assert (t1 == t2) == (r1 == r2)
 
+    @given(st.data())
+    @settings(deadline=None)
+    def test_interleaved_calls_match_reference(self, data):
+        # word tables and products over 2 and 3 letters share the module store
+        pool = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            a, k, (w,) = data.draw(automaton_words(1))
+            pool.append((word_table(a, w, k), reference_word_table(a, w, k)))
+            f, rf = data.draw(st.sampled_from(pool))
+            shape = (f.level, f.alphabet_size)
+            g, rg = data.draw(st.sampled_from(
+                [(g, rg) for g, rg in pool if (g.level, g.alphabet_size) == shape]
+            ))
+            pool.append((compose(f, g), reference_compose(rf, rg)))
+        for t, r in pool:
+            assert list(t.outputs) == r
+
     @given(words, words)
     @settings(max_examples=100)
     def test_matches_sequential_application(self, w1, w2):
@@ -178,6 +195,18 @@ class TestEnumeration:
         assert (
             layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
         ) == reference_enumerate(ref_gens, max_depth=depth, spheres=spheres)
+
+    @given(automaton_words(3), st.integers(0, 6))
+    @settings(deadline=None)
+    def test_word_table_generators_match_reference(self, case, depth):
+        # the sections of a word table need not be generators or states
+        a, k, state_words = case
+        gens = [word_table(a, w, k) for w in state_words]
+        layers = enumerate_monoid(gens, max_depth=depth)
+        ref_gens = [reference_word_table(a, w, k) for w in state_words]
+        assert (
+            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
+        ) == reference_enumerate(ref_gens, max_depth=depth)
 
     def test_bfs_memory_is_freed_on_return(self):
         gens = [table_of(I2, q, 10) for q in range(2)]
