@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AutomatonFormatError, CapacityError
 
@@ -230,6 +230,8 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
 
     Computed incrementally: minimize(a^n) = minimize(minimize(a^(n-1)) x a),
     valid because minimization preserves the induced transformation set.
+    Each power drops its labels before the next product: the counts never
+    read them, and products would otherwise grow them by one factor a power.
     """
     if N < 1:
         raise ValueError("growth requires N >= 1")
@@ -240,7 +242,7 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
         states = cur.state_count * a.state_count
         if states > max_states:
             raise CapacityError(f"minimization of {states} states exceeds cap {max_states}")
-        cur = minimize(product(cur, a))
+        cur = minimize(product(replace(cur, state_labels=None), a))
         counts.append(cur.state_count)
     return counts
 

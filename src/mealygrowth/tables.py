@@ -1,11 +1,12 @@
 """Exact enumeration oracle on finite tree levels.
 
 A semigroup element is stored by its wreath recursion (``unrolled_form``):
-a node is the image of the first letter plus the node ids of the sections
-one level down.  Nodes are hash-consed, so equal elements of one level
-have one id, and the product is one recursion per level, memoized per right
-factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  Tables from the public
-functions share one module store; each BFS interns into a store of its own.
+a node is one flat tuple: the m images of the first letter, then the ids
+of the m section nodes one level down.  Nodes are hash-consed, so equal
+elements of one level have one id, and the product is one recursion per
+level, memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w),
+except for a BFS's own products, each formed at most once per parity.  A
+BFS interns into a store of its own; all other tables share one module store.
 """
 
 from __future__ import annotations
@@ -19,61 +20,75 @@ from .errors import CapacityError, VerificationError
 from .mealy import MealyAutomaton, unrolled_form
 
 MAX_ELEMENTS = 2_000_000
-# _Store.compose, _Store.factor and _Store.copy recurse once per level
+# _Store.build, _Store.factor and _Store.copy recurse once per level
 MAX_LEVEL = sys.getrecursionlimit() // 4
-
-_UNSEEN = -1
 
 
 class _Store:
-    """Interned wreath nodes: id -> (output map, section ids).  Id 0 is the
-    level-0 element, with no sections, where recursions over one level stop.
-    Right factor r: factors[r] = (images, section factors), products[r] = {h: h o g}."""
+    """Interned wreath nodes: id -> images + sections, flat; the tuple is
+    also the node's key in ``ids``.  Id 0 is the level-0 element, (), where
+    recursions over one level stop.  Right factor r: factors[r] = (images,
+    section factors), products[r] = {h: h o g}.  ``build`` forms h o g with
+    no memo at its own level; ``compose`` is ``build`` behind the memo."""
 
     def __init__(self):
-        self.nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.ids: dict[tuple, int] = {}
+        self.nodes: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
         self.factor_ids: dict[int, int] = {}
         self.factors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.products: list[dict[int, int]] = []
-        self.intern((), ())
+        self.intern(())
 
-    def intern(self, images: tuple[int, ...], sections: tuple[int, ...]) -> int:
-        key = (images, sections)
+    def intern(self, node: tuple[int, ...]) -> int:
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return i
+
+    def factor(self, g: int) -> int:
+        """Dense index of node ``g`` as a right factor; its sections get one first."""
+        if g not in self.factor_ids:
+            node = self.nodes[g]
+            m = len(node) // 2
+            self.factors.append((node[:m], tuple(map(self.factor, node[m:]))))
+            self.factor_ids[g] = len(self.products)
+            self.products.append({})
+        return self.factor_ids[g]
+
+    def build(self, h: int, r: int) -> int:
+        """h o g for two nodes of the same level, where r = factor(g): apply g first."""
+        (g_images, g_factors), h_node = self.factors[r], self.nodes[h]
+        m = len(g_images)
+        key = [h_node[y] for y in g_images]
+        for y, s in zip(g_images, g_factors):
+            hs, memo = h_node[m + y], self.products[s]
+            p = memo.get(hs)
+            if p is None:  # a memo hit makes no call
+                p = memo[hs] = self.build(hs, s)
+            key.append(p)
+        key = tuple(key)
         node = self.ids.get(key)
         if node is None:
             node = self.ids[key] = len(self.nodes)
             self.nodes.append(key)
         return node
 
-    def factor(self, g: int) -> int:
-        """Dense index of node ``g`` as a right factor; its sections get one first."""
-        if g not in self.factor_ids:
-            self.factors.append((self.nodes[g][0], tuple(map(self.factor, self.nodes[g][1]))))
-            self.factor_ids[g] = len(self.products)
-            self.products.append({})
-        return self.factor_ids[g]
-
     def compose(self, h: int, r: int) -> int:
-        """h o g for two nodes of the same level, where r = factor(g): apply g first."""
         memo = self.products[r]
         node = memo.get(h)
         if node is None:
-            (g_images, g_factors), (h_images, h_sections) = self.factors[r], self.nodes[h]
-            sections = []
-            for y, s in zip(g_images, g_factors):
-                p = self.products[s].get(h_sections[y])  # a memo hit makes no call
-                sections.append(self.compose(h_sections[y], s) if p is None else p)
-            node = memo[h] = self.intern(tuple([h_images[y] for y in g_images]), tuple(sections))
+            node = memo[h] = self.build(h, r)
         return node
 
     def copy(self, other: _Store, node: int, copied: dict[int, int]) -> int:
         """Intern ``node`` of another store, with all of its sections, here."""
         mine = copied.get(node)
         if mine is None:
-            images, sections = other.nodes[node]
+            flat = other.nodes[node]
+            m = len(flat) // 2
             mine = copied[node] = self.intern(
-                images, tuple([self.copy(other, s, copied) for s in sections])
+                flat[:m] + tuple([self.copy(other, s, copied) for s in flat[m:]])
             )
         return mine
 
@@ -83,7 +98,7 @@ class _Store:
         nodes = [0] * a.state_count
         for _ in range(k):
             nodes = [
-                self.intern(f.output_map, tuple([nodes[s] for s in f.successor_states]))
+                self.intern(f.output_map + tuple([nodes[s] for s in f.successor_states]))
                 for f in forms
             ]
         return nodes
@@ -115,14 +130,13 @@ class TransformTable:
         """Apply to a word of exactly `level` letters."""
         if len(word) != self.level:
             raise ValueError("word length must equal table level")
-        out, node = [], self.node
+        out, node, m = [], self.node, self.alphabet_size
         for x in word:
-            if not 0 <= x < self.alphabet_size:
-                raise ValueError(f"letter {x} out of range for alphabet of size "
-                                 f"{self.alphabet_size}")
-            images, sections = _STORE.nodes[node]
-            out.append(images[x])
-            node = sections[x]
+            if not 0 <= x < m:
+                raise ValueError(f"letter {x} out of range for alphabet of size {m}")
+            flat = _STORE.nodes[node]
+            out.append(flat[x])
+            node = flat[m + x]
         return tuple(out)
 
 
@@ -160,7 +174,7 @@ def identity_table(k: int, m: int = 2) -> TransformTable:
     _check_level(k)
     node = 0
     for _ in range(k):
-        node = _STORE.intern(tuple(range(m)), (node,) * m)
+        node = _STORE.intern(tuple(range(m)) + (node,) * m)
     return TransformTable(k, m, node)
 
 
@@ -212,9 +226,9 @@ def enumerate_monoid(
     """BFS closure of the monoid generated by ``gens`` (identity included).
 
     Elements are interned nodes of a store local to this call, so equality
-    is exact.  When ``spheres`` is set, the minimal product length of each
-    element is tracked per length parity; ``sphere_sizes`` is as described
-    in ``GrowthLayers``.
+    is exact.  When ``spheres`` is set, an element is expanded again when
+    first reached at the other length parity; ``sphere_sizes`` is as
+    described in ``GrowthLayers``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
@@ -227,48 +241,39 @@ def enumerate_monoid(
     copied: dict[int, int] = {}
     gen_factors = [store.factor(store.copy(_STORE, g.node, copied)) for g in gens]
     ident = store.copy(_STORE, identity_table(level, m).node, copied)
-    # minimal reachable length per parity (even slot, odd slot)
-    dist: dict[int, list[int]] = {ident: [0, _UNSEEN]}
+    build = store.build  # the BFS's own products are not memoized
+    # bit p of seen[x]: x is the product of some word of a length of parity p
+    seen = {ident: 1}
     frontier = [ident]
-    layer_sizes, cumulative = [1], [1]
+    layer_sizes, cumulative, sphere_sizes = [1], [1], [1]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
-        par = depth & 1
+        bit = 1 << (depth & 1)
         new_frontier = []
-        new_elements = 0
         for h in frontier:
             for r in gen_factors:
-                prod = store.compose(h, r)
-                rec = dist.get(prod)
-                if rec is None:
-                    dist[prod] = rec = [_UNSEEN, _UNSEEN]
-                    new_elements += 1
-                elif not spheres or rec[par] != _UNSEEN:
+                prod = build(h, r)
+                bits = seen.get(prod)
+                if bits is None:
+                    if len(seen) >= max_elements:
+                        raise CapacityError(f"element count exceeded cap {max_elements}")
+                    seen[prod] = bit
+                elif spheres and not bits & bit:
+                    seen[prod] = bits | bit
+                else:
                     continue
-                rec[par] = depth
                 new_frontier.append(prod)
-        if len(dist) > max_elements:
-            raise CapacityError(f"element count exceeded cap {max_elements}")
-        layer_sizes.append(new_elements)
-        cumulative.append(cumulative[-1] + new_elements)
+        layer_sizes.append(len(seen) - cumulative[-1])
+        cumulative.append(len(seen))
+        sphere_sizes.append(len(new_frontier))
         frontier = new_frontier
-
-    sphere_sizes = _sphere_counts(dist.values(), len(cumulative) - 1) if spheres else []
-    return GrowthLayers(level, layer_sizes, cumulative, sphere_sizes, not frontier)
-
-
-def _sphere_counts(records, max_depth: int) -> list[int]:
-    # sphere(d) = number of elements with a representation of length <= d and
-    # of d's parity (padding with f0^2's); a record's slots hold such lengths
-    counts = [0] * (max_depth + 1)
-    for rec in records:
-        for d in rec:
-            if d != _UNSEEN:
-                counts[d] += 1
-    for d in range(2, max_depth + 1):
-        counts[d] += counts[d - 2]
-    return counts
+    # the depth-d frontier holds the elements first reached in d's parity at
+    # depth d, so sphere(d) sums the frontier sizes at depths d, d-2, ...
+    for d in range(2, len(sphere_sizes)):
+        sphere_sizes[d] += sphere_sizes[d - 2]
+    return GrowthLayers(level, layer_sizes, cumulative, sphere_sizes if spheres else [],
+                        not frontier)
 
 
 def quotient_order(a: MealyAutomaton, n: int, max_elements: int = MAX_ELEMENTS) -> int:

@@ -185,6 +185,34 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             quotient_order(I2, 6, max_elements=50)
 
+    def test_element_cap_stops_within_a_layer(self, monkeypatch):
+        # the cap is checked as each element is recorded, not after a layer
+        gens = [table_of(I2, q, 8) for q in range(2)]
+        full = enumerate_monoid(gens, spheres=False)
+        d = full.layer_sizes.index(max(full.layer_sizes))
+        cap = full.cumulative[d - 1] + 5
+        assert full.cumulative[d] > cap + 100
+        calls = 0
+        build = tables._Store.build
+
+        def counting_build(self, h, r):
+            nonlocal calls
+            calls += 1
+            return build(self, h, r)
+
+        monkeypatch.setattr(tables._Store, "build", counting_build)
+        counts = []
+        for depth in (d - 1, d):
+            calls = 0
+            enumerate_monoid(gens, max_depth=depth, spheres=False)
+            counts.append(calls)
+        calls = 0
+        with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
+            enumerate_monoid(gens, spheres=False, max_elements=cap)
+        # each BFS has a fresh store, so the layers before d repeat exactly
+        before, through = counts
+        assert before < calls < before + (through - before) // 4
+
     @given(automaton_words(0), st.integers(0, 6), st.booleans())
     @settings(deadline=None)
     def test_matches_reference(self, case, depth, spheres):
@@ -220,6 +248,20 @@ class TestEnumeration:
         assert layers.element_count == i2_quotient_order_formula(10)
         assert peak - before > 5_000_000
         assert after - before < 500_000
+
+    def test_bfs_bytes_per_element(self):
+        # a memory guard, not a timing gate: flat nodes, parity bits and no
+        # memo of the BFS's own products give about 340 B per element
+        gens = [table_of(I2, q, 11) for q in range(2)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layers = enumerate_monoid(gens, spheres=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert layers.element_count == i2_quotient_order_formula(11) == 43_010
+        assert peak / layers.element_count < 450
 
 
 class TestStabilizedOracle:
