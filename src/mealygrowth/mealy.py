@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import AutomatonFormatError, CapacityError
 
@@ -152,77 +152,70 @@ def minimize(a: MealyAutomaton) -> MealyAutomaton:
     """Collapse states inducing equal transformations.
 
     Partition states by their output rows, then refine on successor blocks
-    until stable.  All states are kept (no reachability pruning): every
-    state defines a transformation and equivalence is on the full set.
-
-    The refinement is a worklist form of Moore's rounds.  ``bsig[b]`` is
-    the tuple of successor block ids shared by the members of block ``b``.
-    A state none of whose successors changed block id in the last round
-    keeps its signature, so each round recomputes signatures only for the
-    predecessors of the states that moved.  A dirty state whose signature
-    differs from ``bsig[b]`` leaves ``b``, grouped with the other leavers
-    of ``b`` by signature; the states that keep ``bsig[b]`` keep the id
-    ``b`` (if none do, the largest group keeps it).  Every round therefore
-    yields Moore's partition, and the loop stops, when no state moves,
-    where Moore's does.  Blocks are finally numbered by first occurrence,
-    so the states, their order and their labels are Moore's too.
+    until stable (``_refine``).  All states are kept (no reachability
+    pruning): every state defines a transformation and equivalence is on
+    the full set.  Each block keeps the label of its first state.
     """
-    n, m = a.state_count, a.alphabet_size
-    succ = a.transitions
-    block = _assign_blocks(a.outputs)
-    size = [0] * (max(block) + 1)
+    block, reps = _refine(list(zip(*a.transitions)), a.outputs)
+    trans = tuple(tuple(block[t] for t in a.transitions[q]) for q in reps)
+    return MealyAutomaton(a.alphabet_size, trans, tuple(a.outputs[q] for q in reps),
+                          tuple(a.label(q) for q in reps))
+
+
+def _refine(cols, keys) -> tuple[list[int], list[int]]:
+    """Moore's partition: block ids numbered by first occurrence, and each block's first state.
+
+    ``cols[x][q]`` is the successor of state q on letter x and ``keys[q]``
+    its output key.  The refinement is a worklist form of Moore's rounds.
+    ``bsig[b]`` is the signature shared by the members of block ``b``: its
+    successor block ids as one int in base n + 1.  A state none of whose
+    successors changed block id in the last round keeps its signature, so
+    each round recomputes signatures only for the predecessors of the
+    states that moved.  A dirty state whose signature differs from
+    ``bsig[b]`` leaves ``b``, grouped by ``(b, signature)``; the states that
+    keep ``bsig[b]`` keep the id ``b`` (if none do, the largest group keeps
+    it).  Every round therefore yields Moore's partition, and the loop
+    stops, when no state moves, where Moore's does.
+    """
+    n = len(keys)
+    base = n + 1
+    ids = {}
+    block = [ids.setdefault(k, len(ids)) for k in keys]
+    size = [0] * len(ids)
     for b in block:
         size[b] += 1
-    bsig = [None] * len(size)  # no signature yet: every state leaves in round one
+    bsig = [-1] * len(size)  # no signature yet: every state leaves in round one
     preds = [[] for _ in range(n)]
-    for q, row in enumerate(succ):
-        for t in row:
+    for col in cols:
+        for q, t in enumerate(col):
             preds[t].append(q)
     dirty = range(n)
     while dirty:
-        leavers = {}
-        for q in dirty:
-            b = block[q]
-            s = tuple([block[t] for t in succ[q]])
-            if s != bsig[b]:
-                leavers.setdefault(b, {}).setdefault(s, []).append(q)
+        sigs = [0] * len(dirty)
+        for col in reversed(cols):
+            sigs = [s * base + block[col[q]] for s, q in zip(sigs, dirty)]
+        groups = {}
+        for q, s in zip(dirty, sigs):
+            if s != bsig[block[q]]:
+                groups.setdefault((block[q], s), []).append(q)
+        stay = {}  # how many members of b keep bsig[b]
+        for (b, _), qs in groups.items():
+            stay[b] = stay.get(b, size[b]) - len(qs)
         moved = []
-        for b, groups in leavers.items():
-            pieces = sorted(groups.items(), key=lambda piece: len(piece[1]))
-            if size[b] == sum(len(qs) for _, qs in pieces):
-                # no member keeps bsig[b]: the largest group keeps b
-                bsig[b] = pieces.pop()[0]
-            for s, qs in pieces:
-                nb = len(size)
-                size.append(len(qs))
-                bsig.append(s)
-                size[b] -= len(qs)
-                for q in qs:
-                    block[q] = nb
-                moved.extend(qs)
-        dirty = {p for q in moved for p in preds[q]}
-    block = _assign_blocks(block)
-    reps = {}
-    for q in range(n):
-        reps.setdefault(block[q], q)
-    trans, outs, labels = [], [], []
-    for b in range(len(reps)):
-        q = reps[b]
-        trans.append(tuple(block[t] for t in succ[q]))
-        outs.append(tuple(a.outputs[q]))
-        labels.append(a.label(q))
-    return MealyAutomaton(m, tuple(trans), tuple(outs), tuple(labels))
-
-
-def _assign_blocks(keys):
-    """Number distinct keys by first occurrence."""
-    ids = {}
-    out = []
-    for k in keys:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
-    return out
+        for (b, s), qs in sorted(groups.items(), key=lambda g: len(g[1]), reverse=True):
+            if not stay[b]:  # no member keeps bsig[b]: the largest group keeps b
+                stay[b], bsig[b] = len(qs), s
+                continue
+            size[b] -= len(qs)
+            for q in qs:
+                block[q] = len(size)
+            size.append(len(qs))
+            bsig.append(s)
+            moved += qs
+        dirty = set(itertools.chain.from_iterable(map(preds.__getitem__, moved)))
+    reps = sorted(dict(zip(reversed(block), reversed(range(n)))).values())
+    ids = {block[q]: i for i, q in enumerate(reps)}
+    return [ids[b] for b in block], reps
 
 
 def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_CAP) -> list[int]:
@@ -230,20 +223,36 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
 
     Computed incrementally: minimize(a^n) = minimize(minimize(a^(n-1)) x a),
     valid because minimization preserves the induced transformation set.
-    Each power drops its labels before the next product: the counts never
-    read them, and products would otherwise grow them by one factor a power.
+    The minimal power is kept as per-letter columns, starting from the
+    one-state identity (whose product with a is a); each product's columns
+    are built, range-checked and refined directly, with no automaton or
+    label per power.  The state cap is checked before each product.
     """
     if N < 1:
         raise ValueError("growth requires N >= 1")
+    m, na = a.alphabet_size, a.state_count
+    a_trans, a_outs = list(zip(*a.transitions)), list(zip(*a.outputs))
+    cur_trans, cur_outs = [[0]] * m, [[x] for x in range(m)]
     counts = []
-    cur = minimize(a)
-    counts.append(cur.state_count)
-    for _ in range(1, N):
-        states = cur.state_count * a.state_count
-        if states > max_states:
-            raise CapacityError(f"minimization of {states} states exceeds cap {max_states}")
-        cur = minimize(product(replace(cur, state_labels=None), a))
-        counts.append(cur.state_count)
+    for _ in range(N):
+        n = len(cur_outs[0]) * na
+        if n > max_states:
+            raise CapacityError(f"minimization of {n} states exceeds cap {max_states}")
+        trans, outs = [[0] * n for _ in range(m)], [[0] * n for _ in range(m)]
+        for x, q2 in itertools.product(range(m), range(na)):  # (q1, q2) is q1 * na + q2
+            y, t = a_outs[x][q2], a_trans[x][q2]
+            trans[x][q2::na] = [t1 * na + t for t1 in cur_trans[y]]
+            outs[x][q2::na] = cur_outs[y]
+        if not all(0 <= min(c) <= max(c) < n for c in trans) or not all(
+                0 <= min(c) <= max(c) < m for c in outs):
+            raise ValueError("product table entry out of range")
+        keys = outs[0]  # each state's output row as one int in base m
+        for c in outs[1:]:
+            keys = [k * m + o for k, o in zip(keys, c)]
+        block, reps = _refine(trans, keys)
+        cur_trans = [[block[c[q]] for q in reps] for c in trans]
+        cur_outs = [[c[q] for q in reps] for c in outs]
+        counts.append(len(reps))
     return counts
 
 

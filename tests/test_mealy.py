@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -197,17 +198,42 @@ class TestGrowth:
         assert automaton_growth(IDENTITY2, 3) == [1, 1, 1]
 
     def test_cap_raises(self, monkeypatch):
-        built = []
-        real_product = mealy.product
+        refined = []
+        real_refine = mealy._refine
 
-        def recording_product(a, b):
-            built.append(a.state_count * b.state_count)
-            return real_product(a, b)
+        def recording_refine(cols, keys):
+            refined.append(len(keys))
+            return real_refine(cols, keys)
 
-        monkeypatch.setattr(mealy, "product", recording_product)
+        monkeypatch.setattr(mealy, "_refine", recording_refine)
         with pytest.raises(CapacityError, match="minimization of 8 states exceeds cap 5"):
             automaton_growth(I2, 10, max_states=5)
-        assert built == [4]
+        assert refined == [2, 4]  # the cap stops the 8-state product before it is built
+
+    def test_cap_covers_the_first_power(self):
+        with pytest.raises(CapacityError, match="^minimization of 2 states exceeds cap 1$"):
+            automaton_growth(I2, 1, max_states=1)
+        assert automaton_growth(I2, 1, max_states=2) == [2]
+
+    @given(st.integers(1, 3).flatmap(lambda m: automata(4, m)), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_minimized_powers(self, a, N):
+        # the reference route: product() powers and Moore's rounds, not _refine
+        expected = [reference_minimize(power(a, n)).state_count for n in range(1, N + 1)]
+        assert automaton_growth(a, N) == expected
+
+    def test_memory_at_40(self):
+        # a memory guard, not a timing gate: columns and int signatures peak
+        # at about 3.3 MiB; per-power automata with labels peaked at 4.76 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = automaton_growth(I2, 40)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert counts[-1] == series.automaton_growth_coeffs(40)[40]
+        assert peak < 4 * 2**20
 
     def test_i2_matches_series_at_40(self):
         assert automaton_growth(I2, 40) == series.automaton_growth_coeffs(40)[1:]
