@@ -3,12 +3,9 @@
 from .errors import AutomatonFormatError, CapacityError, VerificationError
 from .mealy import (
     I2,
-    IDENTITY2,
     MealyAutomaton,
     WreathForm,
     apply,
-    are_isomorphic,
-    are_similar,
     automaton_growth,
     format_automaton,
     is_invertible,
@@ -27,7 +24,6 @@ from .rewrite import (
     NormalForm,
     One,
     enumerate_normal_forms,
-    eval_test_word,
     format_word,
     left_zero_word,
     nf_to_word,
@@ -47,12 +43,8 @@ from .series import (
     AsymptoteSpec,
     automaton_growth_coeffs,
     ball_growth_coeffs,
-    count_distinct_congruent,
     growth_asymptotes,
     odd_distinct_partitions,
-    partial_sum_check,
-    richmond_asymptote,
-    tauberian_probe,
     word_growth_coeffs,
 )
 from .tables import (
@@ -60,7 +52,6 @@ from .tables import (
     TransformTable,
     ball_growth_oracle,
     compose,
-    endomorphism_count,
     enumerate_monoid,
     hausdorff_sequence,
     i2_quotient_order_formula,

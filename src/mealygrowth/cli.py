@@ -102,6 +102,8 @@ def cmd_equal(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    if args.depth is not None and args.depth < 0:
+        raise ValueError("depth must be non-negative")
     n = args.n
     formula = tables.i2_quotient_order_formula(n)
     _check_elements(formula, args.max_elements)
@@ -163,6 +165,8 @@ def _suite_oracle(args):
 def _suite_width(args):
     import random
 
+    if args.count < 0:
+        raise ValueError("count must be non-negative")
     rng = random.Random(args.seed)
     for i in range(args.count):
         word = [rng.randint(0, 1) for _ in range(rng.randint(1, 30))]
@@ -209,7 +213,7 @@ def cmd_automaton(args) -> int:
         print(",".join(str(c) for c in counts))
     elif args.action == "product":
         if args.with_file is None:
-            raise SystemExit("product action requires --with FILE")
+            raise ValueError("product action requires --with FILE")
         b = mealy.load_automaton(args.with_file)
         sys.stdout.write(mealy.format_automaton(mealy.product(a, b)))
     return 0

@@ -86,9 +86,6 @@ I2 = MealyAutomaton(
     state_labels=("q0", "q1"),
 )
 
-#: One-state identity transducer on two letters.
-IDENTITY2 = MealyAutomaton(2, ((0, 0),), ((0, 1),), ("id",))
-
 
 def apply(a: MealyAutomaton, q: int, word) -> tuple[int, ...]:
     """Run the transducer from state ``q`` over ``word``; returns the output word."""
@@ -254,40 +251,6 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
         cur_outs = [[c[q] for q in reps] for c in outs]
         counts.append(len(reps))
     return counts
-
-
-def _mapping_holds(a, b, theta, xi, psi):
-    for q in range(a.state_count):
-        for x in range(a.alphabet_size):
-            if theta[a.transitions[q][x]] != b.transitions[theta[q]][xi[x]]:
-                return False
-            if psi[a.outputs[q][x]] != b.outputs[theta[q]][xi[x]]:
-                return False
-    return True
-
-
-def are_isomorphic(a: MealyAutomaton, b: MealyAutomaton) -> bool:
-    """Exhaustive search for state/letter relabelings identifying a with b."""
-    if a.state_count != b.state_count or a.alphabet_size != b.alphabet_size:
-        return False
-    letters = range(a.alphabet_size)
-    for theta in itertools.permutations(range(a.state_count)):
-        for xi in itertools.permutations(letters):
-            for psi in itertools.permutations(letters):
-                if _mapping_holds(a, b, theta, xi, psi):
-                    return True
-    return False
-
-
-def are_similar(a: MealyAutomaton, b: MealyAutomaton) -> bool:
-    """Isomorphism with the same permutation on input and output letters."""
-    if a.state_count != b.state_count or a.alphabet_size != b.alphabet_size:
-        return False
-    for theta in itertools.permutations(range(a.state_count)):
-        for xi in itertools.permutations(range(a.alphabet_size)):
-            if _mapping_holds(a, b, theta, xi, xi):
-                return True
-    return False
 
 
 _STATE_RE = re.compile(r"^state\s+(\S+)\s+trans((?:\s+\d+)+)\s+out((?:\s+\d+)+)$")

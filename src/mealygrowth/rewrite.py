@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import tables
 from .errors import VerificationError
-from .mealy import I2, MealyAutomaton, apply
+from .mealy import I2, MealyAutomaton
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -259,46 +259,6 @@ def verify_left_zero(n: int) -> tuple[bool, bool]:
         and tables.word_table(I2, z + (1,), n + 1) != zt1
     )
     return holds, fails
-
-
-def apply_word(word, letters) -> tuple[int, ...]:
-    """Act on an input word by a generator word (rightmost factor first)."""
-    result = tuple(letters)
-    for q in reversed(tuple(word)):
-        result = apply(I2, q, result)
-    return result
-
-
-def eval_test_word(nf: General, n: int) -> tuple[int, ...]:
-    """Image of x0^n under a test-shaped element, checked two ways.
-
-    The element must look like f0 f1 (f0f1)^{p_1} f1 ... (f0f1)^{p_k} f1
-    (f0f1)^{tail}: eps1 = 1, eps2 = 0, exponents below n-1, tail at most
-    n-1.  The closed-form run pattern is compared against direct transducer
-    application.
-    """
-    if not isinstance(nf, General) or nf.eps1 != 1 or nf.eps2 != 0:
-        raise ValueError("element must have the f0 f1 ... (f0f1)^tail shape")
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    exps = nf.exponents
-    if exps and exps[-1] >= n - 1:
-        raise ValueError("exponents must be below n-1")
-    if nf.tail > n - 1:
-        raise ValueError("tail must be at most n-1")
-    if not exps:
-        pattern = (0,) * n
-    else:
-        runs = [exps[0] + 1]
-        runs += [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        runs.append(n - exps[-1] - 1)
-        pattern = tuple(
-            letter for i, r in enumerate(runs) for letter in [i % 2] * r
-        )
-    direct = apply_word(nf_to_word(nf), (0,) * n)
-    if direct != pattern:
-        raise VerificationError("closed form disagrees with transducer application")
-    return pattern
 
 
 def width(word) -> int:

@@ -91,20 +91,6 @@ def odd_distinct_partitions(N: int) -> list[int]:
     return list(_confirmed_q(N))
 
 
-def count_distinct_congruent(n: int, a_list, M: int) -> int:
-    """Partitions of n into distinct parts congruent to some a_i mod M."""
-    if n < 0 or M < 1:
-        raise ValueError("n must be non-negative and M positive")
-    residues = {a % M for a in a_list}
-    c = [0] * (n + 1)
-    c[0] = 1
-    for part in range(1, n + 1):
-        if part % M in residues:
-            for i in range(n, part - 1, -1):
-                c[i] += c[i - part]
-    return c[n]
-
-
 # --- growth coefficients --------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -182,58 +168,35 @@ class AsymptoteSpec:
             + self.exponent_coefficient * math.sqrt(n)
         )
 
-    def evaluate(self, n) -> float:
-        return math.exp(self.log_evaluate(n))
-
 
 # The constant below is 2^(-7/4) 3^(-1/4), validated against the exact
 # partition count to four digits at n = 10^4 (the seemingly simpler
-# 2^(-1/2) 3^(-1/4) sometimes seen in print misses a factor 2^(5/4)).
+# 2^(-1/2) 3^(-1/4) sometimes seen in print misses a factor 2^(5/4)).  The
+# same factor separates AUTOMATON_ASYMPTOTE's 2^(5/4) from the 2^(5/2) of the
+# paper's abstract: the exact gamma(n) over the abstract's term tends to 2^(-5/4).
 Q_ASYMPTOTE = AsymptoteSpec(2**-1.75 * 3**-0.25, -0.75, BETA)
 WORD_ASYMPTOTE = AsymptoteSpec(2**0.75 * 3**0.25 / PI, -0.25, BETA)
 AUTOMATON_ASYMPTOTE = AsymptoteSpec(2**1.25 * 3**0.75 / PI**2, 0.25, BETA)
 BALL_ASYMPTOTE = AsymptoteSpec(2**2.25 * 3**0.75 / PI**2, 0.25, BETA)
 
 
-def richmond_log_asymptote(a_list, M: int, s: int, n: int) -> float:
-    """Log of the main term for partitions into distinct parts = a_i mod M.
-
-    Saddle-point main term 2^(s/2 - sum(a_i)/M - 1) (s/12M)^(1/4) n^(-3/4)
-    exp(pi sqrt(sn/3M)), cross-checked against ``count_distinct_congruent``
-    for several residue systems.
-    """
-    if n < 1 or M < 1:
-        raise ValueError("n and M must be >= 1")
-    if math.gcd(*a_list, M) != 1:
-        raise ValueError("gcd(a_1, ..., a_s, M) must be 1")
-    if s != len(a_list):
-        raise ValueError("s must equal the number of residues")
-    return (
-        (s / 2 - sum(a_list) / M - 1) * math.log(2)
-        + 0.25 * math.log(s / (12 * M))
-        - 0.75 * math.log(n)
-        + PI * math.sqrt(s * n / (3 * M))
-    )
-
-
-def richmond_asymptote(a_list, M: int, s: int, n: int) -> float:
-    return math.exp(richmond_log_asymptote(a_list, M, s, n))
-
-
 @dataclass(frozen=True)
 class GrowthAsymptotes:
-    """Main terms at one n: each growth function in q-form and closed form."""
+    """Main terms at one n in q-form: each growth function as a multiple of q(n).
+
+    delta(n) ~ 4 sqrt(6)/pi sqrt(n) q(n), gamma(n) ~ 24/pi^2 n q(n) and
+    gamma_S(n) ~ 48/pi^2 n q(n).  The closed forms in n alone are the specs
+    ``WORD_ASYMPTOTE``, ``AUTOMATON_ASYMPTOTE`` and ``BALL_ASYMPTOTE``;
+    compare them with exact counts in log space through ``log_evaluate``.
+    """
 
     word_qform: float
-    word_closed: float
     automaton_qform: float
-    automaton_closed: float
     ball_qform: float
-    ball_closed: float
 
 
 def growth_asymptotes(n: int, q_n: int | None = None) -> GrowthAsymptotes:
-    """Evaluate the six main-term formulas at n.
+    """Evaluate the three q-form main terms at n.
 
     ``q_n`` can be supplied to avoid recomputing the exact partition count.
     """
@@ -244,97 +207,6 @@ def growth_asymptotes(n: int, q_n: int | None = None) -> GrowthAsymptotes:
     qf = float(q_n)
     return GrowthAsymptotes(
         word_qform=4 * math.sqrt(6) / PI * math.sqrt(n) * qf,
-        word_closed=WORD_ASYMPTOTE.evaluate(n),
         automaton_qform=24 / PI**2 * n * qf,
-        automaton_closed=AUTOMATON_ASYMPTOTE.evaluate(n),
         ball_qform=48 / PI**2 * n * qf,
-        ball_closed=BALL_ASYMPTOTE.evaluate(n),
     )
-
-
-@dataclass(frozen=True)
-class PartialSumRow:
-    n: int
-    partial_sum: float
-    asymptote: float
-    ratio: float
-
-
-def partial_sum_check(alpha: float, beta: float, N: int, samples=None) -> list[PartialSumRow]:
-    """Ratio of sum_{i<=n} i^alpha exp(beta sqrt(i)) to its predicted main term.
-
-    The prediction is (2/beta) n^(alpha+1/2) exp(beta sqrt(n)).
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if beta * math.sqrt(N) > 700:
-        raise OverflowError("summand would overflow double precision; reduce N")
-    if samples is None:
-        samples = [10**e for e in range(1, 12) if 10**e < N] + [N]
-    wanted = sorted(set(s for s in samples if 1 <= s <= N))
-    rows = []
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    it = iter(wanted)
-    target = next(it, None)
-    for i in range(1, N + 1):
-        term = i**alpha * math.exp(beta * math.sqrt(i))
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if i == target:
-            asym = (2 / beta) * i ** (alpha + 0.5) * math.exp(beta * math.sqrt(i))
-            value = total + comp
-            rows.append(PartialSumRow(i, value, asym, value / asym))
-            target = next(it, None)
-    return rows
-
-
-TAUBERIAN_ALPHA = PI**2 / 24
-TAUBERIAN_TAIL_BOUND = 1e-9
-
-
-@dataclass(frozen=True)
-class TauberianRow:
-    x: float
-    value: float | None
-    target: float
-    tail_ratio: float
-    ok: bool
-    note: str = ""
-
-
-def tauberian_probe(N: int, x_list, coeffs=None) -> list[TauberianRow]:
-    """Evaluate (1-x) log(sum gamma_S(n) x^n) against pi^2/24.
-
-    Refuses any x for which the truncation tail is not negligible (the
-    last retained term must be below 1e-9 of the partial sum).
-    """
-    if coeffs is None:
-        coeffs = ball_growth_coeffs(N)
-    if len(coeffs) <= N:
-        raise ValueError("coeffs must hold gamma_S(0..N)")
-    rows = []
-    for x in x_list:
-        if not 0 < x < 1:
-            raise ValueError("each x must be in (0, 1)")
-        partial = 0.0
-        xn = 1.0
-        for n in range(N + 1):
-            partial += float(coeffs[n]) * xn
-            xn *= x
-        tail_ratio = float(coeffs[N]) * x**N / partial
-        if tail_ratio > TAUBERIAN_TAIL_BOUND:
-            rows.append(
-                TauberianRow(
-                    x, None, TAUBERIAN_ALPHA, tail_ratio, False,
-                    note=f"tail ratio {tail_ratio:.2e} exceeds {TAUBERIAN_TAIL_BOUND:.0e}; increase N",
-                )
-            )
-            continue
-        value = (1 - x) * math.log(partial)
-        rows.append(TauberianRow(x, value, TAUBERIAN_ALPHA, tail_ratio, True))
-    return rows

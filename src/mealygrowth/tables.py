@@ -320,13 +320,6 @@ def ball_growth_oracle(a: MealyAutomaton, n: int) -> int:
     return stabilized_growth_table(a, n)[n][1]
 
 
-def endomorphism_count(m: int, k: int) -> int:
-    """Number of endomorphisms of the depth-k regular rooted m-ary tree."""
-    if m < 2 or k < 1:
-        raise ValueError("need m >= 2 and k >= 1")
-    return m ** (m * (m**k - 1) // (m - 1))
-
-
 def i2_quotient_order_formula(n: int) -> int:
     """Closed-form order of the level-n quotient of the I2 monoid."""
     if n < 1:

@@ -11,6 +11,7 @@ import time
 
 from mealygrowth import (
     I2,
+    AsymptoteSpec,
     MealyAutomaton,
     apply,
     automaton_growth_coeffs,
@@ -34,7 +35,14 @@ from mealygrowth import (
     word_growth_coeffs,
     word_table,
 )
-from mealygrowth.series import Q_ASYMPTOTE, divide_one_minus_xk
+from mealygrowth.series import (
+    AUTOMATON_ASYMPTOTE,
+    BALL_ASYMPTOTE,
+    BETA,
+    Q_ASYMPTOTE,
+    WORD_ASYMPTOTE,
+    divide_one_minus_xk,
+)
 from mealygrowth.rewrite import reduce as reduce_word
 from reference_series import reference_odd_distinct_partitions
 
@@ -132,13 +140,27 @@ def test_07_growth_asymptotics():
     ok = all(e < 0.05 for e in final)
     for i in range(3):
         ok = ok and final[i] < errs[1000][i] < errs[100][i]
+    # each exact count over its closed main term, from math.log of the big int
+    exact = (word_growth_coeffs(10**4), automaton_growth_coeffs(10**4),
+             ball_growth_coeffs(10**4))
+    specs = (WORD_ASYMPTOTE, AUTOMATON_ASYMPTOTE, BALL_ASYMPTOTE)
+    closed = [[math.exp(math.log(c[n]) - s.log_evaluate(n)) for n in (100, 1000, 10000)]
+              for c, s in zip(exact, specs)]
+    ok = ok and all(r[0] < r[1] < r[2] and abs(r[2] - 1) < 0.01 for r in closed)
+    # the abstract's constant 2^(5/2) 3^(3/4) pi^(-2): gamma's ratio tends to 2^(-5/4)
+    abstract = AsymptoteSpec(2**2.5 * 3**0.75 / math.pi**2, 0.25, BETA)
+    abstract_ratio = math.exp(math.log(exact[1][10**4]) - abstract.log_evaluate(10**4))
+    ok = ok and abs(abstract_ratio - 2**-1.25) < 0.002
     report(7, "growth-asymptote-ratios", ok,
-           "errs@1e4=" + ",".join(f"{e:.4f}" for e in final))
+           "errs@1e4=" + ",".join(f"{e:.4f}" for e in final)
+           + " closed@1e4=" + ",".join(f"{r[2]:.4f}" for r in closed)
+           + f" abstract@1e4={abstract_ratio:.4f}")
 
 
 def test_08_q_asymptote():
     q = odd_distinct_partitions(10**4)
-    errs = [abs(q[n] / Q_ASYMPTOTE.evaluate(n) - 1) for n in (100, 1000, 10000)]
+    errs = [abs(math.exp(math.log(q[n]) - Q_ASYMPTOTE.log_evaluate(n)) - 1)
+            for n in (100, 1000, 10000)]
     ok = errs[2] < errs[1] < errs[0] and errs[2] < 0.1
     report(8, "q-asymptote-ratio", ok,
            "errs=" + ",".join(f"{e:.4f}" for e in errs))

@@ -251,6 +251,20 @@ def test_oversized_requests_fail_fast(argv):
     assert line.startswith("error: ") and " exceeds " in line
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--n", "3", "--depth", "-1"],
+    ["verify", "width", "--count", "-3"],
+    ["automaton", "{aut}", "product"],  # no --with FILE
+])
+def test_bad_requests_fail_before_output(capsys, tmp_path, argv):
+    aut = tmp_path / "i2.aut"
+    aut.write_text(format_automaton(I2))
+    code, out, err = run(capsys, *(arg.format(aut=aut) for arg in argv))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+
+
 class TestAutomaton:
     @pytest.fixture
     def i2_file(self, tmp_path):

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from mealygrowth import (
     I2,
-    IDENTITY2,
     AutomatonFormatError,
     CapacityError,
     MealyAutomaton,
     apply,
-    are_isomorphic,
-    are_similar,
     automaton_growth,
     format_automaton,
     is_invertible,
@@ -28,6 +25,9 @@ from mealygrowth import (
 )
 from mealygrowth import mealy, series
 from reference_mealy import reference_minimize
+
+#: One-state identity transducer on two letters.
+IDENTITY2 = MealyAutomaton(2, ((0, 0),), ((0, 1),))
 
 
 def automata(max_states=4, m=2):
@@ -237,25 +237,6 @@ class TestGrowth:
 
     def test_i2_matches_series_at_40(self):
         assert automaton_growth(I2, 40) == series.automaton_growth_coeffs(40)[1:]
-
-
-class TestIsomorphism:
-    def test_relabeled_i2(self):
-        swapped = MealyAutomaton(2, ((0, 1), (1, 1)), ((1, 1), (1, 0)))
-        # I2 with states exchanged: q0<->q1
-        assert are_isomorphic(I2, swapped)
-
-    def test_similar_is_stricter(self):
-        # complement all letters in I2's output of state 0 only
-        other = MealyAutomaton(2, ((0, 0), (1, 0)), ((0, 1), (1, 1)))
-        assert not are_similar(I2, other)
-
-    def test_self_similar(self):
-        assert are_similar(I2, I2)
-
-    @given(automata(3))
-    def test_reflexive(self, a):
-        assert are_isomorphic(a, a)
 
 
 I2_TEXT = """\

@@ -19,7 +19,6 @@ from mealygrowth import (
     MealyAutomaton,
     VerificationError,
     enumerate_normal_forms,
-    eval_test_word,
     format_word,
     left_zero_word,
     nf_to_word,
@@ -37,7 +36,6 @@ from mealygrowth import (
     words_equal_quotient,
 )
 from mealygrowth import rewrite
-from mealygrowth.rewrite import apply_word
 from reference_rewrite import reference_reduce_detailed
 
 words = st.lists(st.integers(0, 1), max_size=30).map(tuple)
@@ -251,33 +249,6 @@ class TestRelationVerification:
         # every word over states 0, 1 absorbs, but is not the constant map to x1...
         monkeypatch.setattr(rewrite, "I2", a)
         assert verify_left_zero(3) == (False, False)
-
-
-class TestTestWords:
-    def test_no_exponents_fixes_zero_word(self):
-        assert eval_test_word(General(1, (), 0, 0), 5) == (0,) * 5
-
-    def test_exponents_mark_run_boundaries(self):
-        # s = f0 f1 (f0f1)^1 f1 (f0f1)^3 f1 on x0^8: runs of lengths 2, 2, 4
-        assert eval_test_word(General(1, (1, 3), 0, 0), 8) == (0, 0, 1, 1, 0, 0, 0, 0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            eval_test_word(General(0, (), 0, 0), 4)
-        with pytest.raises(ValueError):
-            eval_test_word(General(1, (5,), 0, 0), 4)
-
-    def test_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(rewrite, "apply_word", lambda word, letters: (1,) * len(letters))
-        with pytest.raises(VerificationError):
-            eval_test_word(General(1, (1, 3), 0, 0), 8)
-
-    @given(st.lists(st.integers(0, 5), max_size=3))
-    def test_agrees_with_transducer(self, raw):
-        exps = tuple(sorted(set(raw)))
-        n = (exps[-1] + 2) if exps else 4
-        nf = General(1, exps, 0, 0)
-        assert eval_test_word(nf, n) == apply_word(nf_to_word(nf), (0,) * n)
 
 
 class TestWidth:

@@ -15,7 +15,6 @@ from mealygrowth import (
     automaton_growth_coeffs,
     ball_growth_coeffs,
     compose,
-    endomorphism_count,
     enumerate_monoid,
     hausdorff_sequence,
     i2_quotient_order_formula,
@@ -315,11 +314,6 @@ class TestClosedForms:
     def test_quotient_formula_values(self):
         assert [i2_quotient_order_formula(n) for n in (1, 2, 3)] == [4, 14, 42]
         assert i2_quotient_order_formula(12) == 94210
-
-    def test_endomorphism_counts(self):
-        assert endomorphism_count(2, 1) == 4
-        assert endomorphism_count(2, 2) == 64
-        assert endomorphism_count(3, 2) == 3**12
 
     def test_hausdorff_first_terms(self):
         terms = hausdorff_sequence(3)
