@@ -139,6 +139,9 @@ def cmd_quotient(args) -> int:
 # --- verification suites -----------------------------------------------------
 
 def _suite_relations(args):
+    for flag in ("pmax", "nmax"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be non-negative")
     for p in range(args.pmax + 1):
         yield f"relation r_{p} at level {args.level}", rewrite.verify_relation(p, args.level)
     for n in range(1, args.nmax + 1):
@@ -155,6 +158,8 @@ def _suite_series(args):
 
 
 def _suite_oracle(args):
+    if args.nmax < 1:
+        raise ValueError("--nmax must be at least 1")
     gamma = series.automaton_growth_coeffs(args.nmax)
     ball = series.ball_growth_coeffs(args.nmax)
     oracle = _i2_oracle(ball)

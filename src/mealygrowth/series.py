@@ -5,6 +5,11 @@ all coefficient arithmetic is exact.  The three growth series of the I2
 monoid are driven by q(n), the number of partitions of n into distinct
 odd parts, computed by the Durfee-square sum and confirmed by the
 eta-quotient identity Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2, both O(N^1.5).
+The Durfee sum is evaluated nested, innermost term first; the part that
+enters q times X^(m^2) is held only through X^(N-m^2), so each m costs
+one running-sum pass over N+1-m^2 entries.  The identity is checked
+one-sided as Q(X) (X;X) = sum (-1)^n X^(2n^2): by Gauss's identity that
+theta series is (X^2;X^2)^2 / (X^4;X^4), and it has about sqrt(N/2) terms.
 Each growth series is derived once from q, and every coefficient is
 confirmed against a closed partition formula; a disagreement raises
 ``VerificationError``.
@@ -49,38 +54,51 @@ def divide_one_minus_xk(c: list[int], k: int) -> list[int]:
     return out
 
 
-def _euler_terms(N: int, step: int) -> list[tuple[int, int]]:
-    """(X^step; X^step)_inf through X^N by the pentagonal number theorem."""
-    ks = range(1, math.isqrt(N // step) + 1)  # k^2 <= k(3k-1)/2 <= N/step
-    return [(0, 1)] + [(step * k * (3 * k + s) // 2, (-1) ** k) for k in ks for s in (-1, 1)]
+def _euler_terms(N: int) -> list[tuple[int, int]]:
+    """(X;X)_inf through X^N by the pentagonal number theorem."""
+    ks = range(1, math.isqrt(N) + 1)  # k^2 <= k(3k-1)/2 <= N
+    return [(0, 1)] + [(k * (3 * k + s) // 2, (-1) ** k) for k in ks for s in (-1, 1)]
+
+
+def _theta_terms(N: int) -> list[tuple[int, int]]:
+    """(X^2;X^2)^2 / (X^4;X^4) through X^N: sum over n in Z of (-1)^n X^(2n^2) (Gauss)."""
+    return [(0, 1)] + [(2 * n * n, 2 * (-1) ** n) for n in range(1, math.isqrt(N // 2) + 1)]
 
 
 # --- partition counts -----------------------------------------------------
 
 def _durfee_sum(N: int) -> list[int]:
-    """q(0..N) as the sum over m of X^(m^2) / ((1-X^2)(1-X^4)...(1-X^(2m)))."""
-    total = term = [1] + [0] * N
-    for m in range(1, math.isqrt(N) + 1):
-        # term_m = term_{m-1} * X^(2m-1) / (1 - X^(2m))
-        term = divide_one_minus_xk(multiply_sparse(term, [(2 * m - 1, 1)]), 2 * m)
-        total = list(map(add, total, term))
-    return total
+    """q(0..N) as the sum over m of X^(m^2) / ((1-X^2)(1-X^4)...(1-X^(2m))).
+
+    The sum is evaluated nested, innermost term first: T_M = 1 and
+    T_(m-1) = 1 + X^(2m-1) T_m / (1 - X^(2m)), so q = T_0.  T_m enters q
+    times X^(m^2), so it is held only through X^(N-m^2): each m costs one
+    running-sum pass over N+1-m^2 entries, and no pass adds terms up.
+    """
+    M = math.isqrt(N)
+    t = [1] + [0] * (N - M * M)
+    for m in range(M, 0, -1):
+        t = [1] + [0] * (2 * m - 2) + divide_one_minus_xk(t, 2 * m)
+    return t
 
 
 @lru_cache(maxsize=16)
 def _confirmed_q(N: int) -> tuple[int, ...]:
     """The Durfee sum, confirmed by Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.
 
-    (X;X)(X^4;X^4) has constant term 1, so the identity through X^N fixes
-    q(0..N), and the first coefficient where it fails is the first wrong q(n).
+    By Gauss's identity (X^2;X^2)^2 / (X^4;X^4) is the sparse theta series
+    sum (-1)^n X^(2n^2), so the check is Q(X) (X;X) = theta.  (X;X) has
+    constant term 1, so the identity through X^N fixes q(0..N), and the
+    first coefficient where it fails is the first wrong q(n).
     """
     q = _durfee_sum(N)
-    lhs = multiply_sparse(multiply_sparse(q, _euler_terms(N, 1)), _euler_terms(N, 4))
-    squares = _euler_terms(N, 2)
-    rhs = multiply_sparse(multiply_sparse([1] + [0] * N, squares), squares)
-    for n in range(N + 1):
-        if lhs[n] != rhs[n]:
-            raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
+    lhs = multiply_sparse(q, _euler_terms(N))
+    theta = [0] * (N + 1)
+    for e, a in _theta_terms(N):
+        theta[e] = a
+    if lhs != theta:
+        n = next(n for n, (x, y) in enumerate(zip(lhs, theta)) if x != y)
+        raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
     return tuple(q)
 
 

@@ -265,6 +265,20 @@ def test_bad_requests_fail_before_output(capsys, tmp_path, argv):
     assert line.startswith("error: ")
 
 
+# Each of these once checked nothing, printed a pass and exited 0.
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "oracle", "--nmax", "0"], "--nmax"),
+    (["verify", "oracle", "--nmax", "-2"], "--nmax"),
+    (["verify", "relations", "--pmax", "-1", "--nmax", "0"], "--pmax"),
+    (["verify", "relations", "--pmax", "0", "--nmax", "-1"], "--nmax"),
+])
+def test_vacuous_verify_ranges_fail_before_output(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {flag} must be ")
+
+
 class TestAutomaton:
     @pytest.fixture
     def i2_file(self, tmp_path):

@@ -28,6 +28,18 @@ from mealygrowth.series import (
 from reference_series import reference_odd_distinct_partitions
 
 
+def euler_product(N, k):
+    """(X^k; X^k)_inf through X^N, one factor 1 - X^(jk) at a time."""
+    c = [1] + [0] * N
+    for e in range(k, N + 1, k):
+        c = multiply_sparse(c, [(0, 1), (e, -1)])
+    return c
+
+
+def sparse(c):
+    return [(e, a) for e, a in enumerate(c) if a]
+
+
 class TestToolkit:
     @pytest.mark.parametrize("e", range(6))
     @pytest.mark.parametrize("a", [1, -1, 3])
@@ -62,6 +74,21 @@ class TestPartitions:
     @settings(max_examples=40)
     def test_agrees_with_reference(self, N):
         assert odd_distinct_partitions(N) == reference_odd_distinct_partitions(N)
+
+    # the Durfee terms start at X^(m^2): check either side of each start
+    @pytest.mark.parametrize("N", sorted({m * m + d for m in range(1, 26) for d in (-1, 0, 1)}))
+    def test_agrees_with_reference_at_term_offsets(self, N):
+        assert odd_distinct_partitions(N) == reference_odd_distinct_partitions(N)
+
+    @given(st.integers(0, 400))
+    @settings(max_examples=30)
+    def test_theta_terms_are_the_eta_quotient(self, N):
+        # Gauss: sum (-1)^n X^(2n^2) = (X^2;X^2)^2 / (X^4;X^4), the check's right side
+        theta = multiply_sparse([1] + [0] * N, series._theta_terms(N))
+        squares = euler_product(N, 2)
+        assert multiply_sparse(theta, sparse(euler_product(N, 4))) == multiply_sparse(
+            squares, sparse(squares)
+        )
 
     @given(st.integers(0, 300).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))),
            st.sampled_from([-2, -1, 1, 2]))
