@@ -12,22 +12,41 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice, repeat
+from operator import add
 
 from . import mealy, rewrite, series, tables
 from .errors import AutomatonFormatError, CapacityError, VerificationError
 
 
-def _emit_rows(rows: list[dict], fmt: str, out=None):
-    out = out or sys.stdout
+_CHUNK_ROWS = 4096  # lines formatted per write
+
+
+def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
+    """Stream ``rows``, tuples of cells in ``keys`` order, as CSV or JSON lines.
+
+    Every line fills one template built from the keys, so an int prints in
+    full decimal and a float as its repr, as ``json.dumps`` would print them;
+    any other cell must already be its text for ``fmt`` (see ``_text``).
+    Lines go to stdout a chunk at a time, so ``rows`` can be a generator and
+    no more than one chunk of lines is held.  CSV writes its header with the
+    first row, and nothing when there is no row.
+    """
     if fmt == "json":
-        for row in rows:
-            print(json.dumps(row), file=out)
+        line = "{" + ", ".join(f'"{k}": %s' for k in keys) + "}\n"
+        head = ""
     else:
-        if rows:
-            keys = list(rows[0])
-            print(",".join(keys), file=out)
-            for row in rows:
-                print(",".join(str(row[k]) for k in keys), file=out)
+        line = ",".join(["%s"] * len(keys)) + "\n"
+        head = ",".join(keys) + "\n"
+    rows = iter(rows)
+    while chunk := [line % row for row in islice(rows, _CHUNK_ROWS)]:
+        sys.stdout.write(head + "".join(chunk))
+        head = ""
+
+
+def _text(value, fmt: str) -> str:
+    """A cell that is not a number (a bool, or "" for no value) as ``fmt`` prints it."""
+    return json.dumps(value) if fmt == "json" else str(value)
 
 
 def _check_elements(count: int, cap: int):
@@ -44,33 +63,43 @@ def _i2_oracle(ball: list[int]) -> list[tuple[int, int]]:
 
 # --- growth ----------------------------------------------------------------
 
+_GROWTH_KEYS = ("n", "delta", "gamma", "gamma_ball", "q",
+                "delta_ratio", "gamma_ratio", "ball_ratio")
+
+
+def _growth_rows(delta, gamma, ball, q, blank):
+    """Rows of the growth table; each ratio divides the exact ints first.
+
+    Python rounds an int / int true division correctly for ints of any size,
+    so a ratio stays finite after q(n) passes the double range.
+    """
+    cw, ca, cb = series.WORD_QFORM, series.AUTOMATON_QFORM, series.BALL_QFORM
+    for n in range(1, len(q)):
+        d, g, b, qn = delta[n], gamma[n], ball[n], q[n]
+        if qn:
+            yield (n, d, g, b, qn, round(d / qn / (cw * math.sqrt(n)), 6),
+                   round(g / qn / (ca * n), 6), round(b / qn / (cb * n), 6))
+        else:
+            yield n, d, g, b, qn, blank, blank, blank
+
+
 def cmd_growth(args) -> int:
     N = args.N
     delta = series.word_growth_coeffs(N)
     gamma = series.automaton_growth_coeffs(N)
     ball = series.ball_growth_coeffs(N)
     q = series.odd_distinct_partitions(N)
+    rows = _growth_rows(delta, gamma, ball, q, _text("", args.format))
+    keys = _GROWTH_KEYS
 
-    oracle = _i2_oracle(ball) if args.oracle else []
-
-    rows = []
-    for n in range(1, N + 1):
-        asy = series.growth_asymptotes(n, q_n=q[n]) if q[n] else None
-        row = {
-            "n": n,
-            "delta": delta[n],
-            "gamma": gamma[n],
-            "gamma_ball": ball[n],
-            "q": q[n],
-            "delta_ratio": round(delta[n] / asy.word_qform, 6) if asy else "",
-            "gamma_ratio": round(gamma[n] / asy.automaton_qform, 6) if asy else "",
-            "ball_ratio": round(ball[n] / asy.ball_qform, 6) if asy else "",
-        }
-        if args.oracle:
-            row["oracle_gamma"], row["oracle_ball"] = oracle[n]
-        rows.append(row)
-    _emit_rows(rows, args.format)
-    bad = [n for n in range(1, len(oracle)) if oracle[n] != (gamma[n], ball[n])]
+    bad = []
+    if args.oracle:
+        oracle = _i2_oracle(ball)
+        bad = [n for n in range(1, len(oracle)) if oracle[n] != (gamma[n], ball[n])]
+        rows = map(add, rows, oracle[1:])
+        keys += ("oracle_gamma", "oracle_ball")
+    # every series and the oracle are computed and checked: only formatting is left
+    _emit_rows(keys, rows, args.format)
     if bad:
         print(f"oracle mismatch at n={bad}", file=sys.stderr)
         return 1
@@ -109,30 +138,16 @@ def cmd_quotient(args) -> int:
     _check_elements(formula, args.max_elements)
     order = tables.quotient_order(mealy.I2, n, max_elements=args.max_elements)
     term = math.log(order) / ((2**n - 1) * math.log(4))
-    row = {
-        "n": n,
-        "order": order,
-        "formula": formula,
-        "match": order == formula,
-        "hausdorff_term": round(term, 6),
-    }
-    _emit_rows([row], args.format)
+    row = (n, order, formula, _text(order == formula, args.format), round(term, 6))
+    _emit_rows(("n", "order", "formula", "match", "hausdorff_term"), [row], args.format)
     if args.depth is not None:
         gens = [tables.table_of(mealy.I2, q, n) for q in range(2)]
         layers = tables.enumerate_monoid(
             gens, max_depth=args.depth, max_elements=args.max_elements
         )
-        detail = [
-            {
-                "level": n,
-                "depth": d,
-                "ball": layers.cumulative[d],
-                "sphere": layers.sphere_sizes[d],
-                "new": layers.layer_sizes[d],
-            }
-            for d in range(len(layers.cumulative))
-        ]
-        _emit_rows(detail, args.format)
+        detail = zip(repeat(n), range(len(layers.cumulative)), layers.cumulative,
+                     layers.sphere_sizes, layers.layer_sizes)
+        _emit_rows(("level", "depth", "ball", "sphere", "new"), detail, args.format)
     return 0 if order == formula else 1
 
 

@@ -198,6 +198,13 @@ AUTOMATON_ASYMPTOTE = AsymptoteSpec(2**1.25 * 3**0.75 / PI**2, 0.25, BETA)
 BALL_ASYMPTOTE = AsymptoteSpec(2**2.25 * 3**0.75 / PI**2, 0.25, BETA)
 
 
+# q-form constants: delta(n) ~ WORD_QFORM sqrt(n) q(n), gamma(n) ~ AUTOMATON_QFORM n q(n)
+# and gamma_S(n) ~ BALL_QFORM n q(n).  The CLI's ratio columns read the same three.
+WORD_QFORM = 4 * math.sqrt(6) / PI
+AUTOMATON_QFORM = 24 / PI**2
+BALL_QFORM = 48 / PI**2
+
+
 @dataclass(frozen=True)
 class GrowthAsymptotes:
     """Main terms at one n in q-form: each growth function as a multiple of q(n).
@@ -224,7 +231,7 @@ def growth_asymptotes(n: int, q_n: int | None = None) -> GrowthAsymptotes:
         q_n = odd_distinct_partitions(n)[n]
     qf = float(q_n)
     return GrowthAsymptotes(
-        word_qform=4 * math.sqrt(6) / PI * math.sqrt(n) * qf,
-        automaton_qform=24 / PI**2 * n * qf,
-        ball_qform=48 / PI**2 * n * qf,
+        word_qform=WORD_QFORM * math.sqrt(n) * qf,
+        automaton_qform=AUTOMATON_QFORM * n * qf,
+        ball_qform=BALL_QFORM * n * qf,
     )

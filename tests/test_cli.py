@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import mealygrowth
-from mealygrowth import I2, format_automaton, rewrite, tables
+from mealygrowth import I2, format_automaton, rewrite, series, tables
 from mealygrowth.cli import main
 
 
@@ -45,6 +48,70 @@ class TestGrowth:
         for row in rows:
             assert row["oracle_gamma"] == row["gamma"]
             assert row["oracle_ball"] == row["gamma_ball"]
+
+    def test_ratios_match_growth_asymptotes(self, capsys):
+        # the CLI and the library read one set of q-form constants
+        code, out, _ = run(capsys, "growth", "--N", "2000", "--format", "json")
+        assert code == 0
+        lines = out.splitlines()
+        for n in (1, 3, 50, 1000, 2000):
+            row = json.loads(lines[n - 1])
+            a = series.growth_asymptotes(n)
+            assert row["n"] == n
+            assert row["delta_ratio"] == pytest.approx(row["delta"] / a.word_qform, abs=1e-6)
+            assert row["gamma_ratio"] == pytest.approx(row["gamma"] / a.automaton_qform,
+                                                       abs=1e-6)
+            assert row["ball_ratio"] == pytest.approx(row["gamma_ball"] / a.ball_qform,
+                                                      abs=1e-6)
+
+    def test_ratios_past_the_double_range(self, capsys, monkeypatch):
+        # q(n) passes 1.8e308 near n = 305,000; float(q(n)) would overflow there
+        big = 10**400
+        for name, factor in [("odd_distinct_partitions", 1), ("word_growth_coeffs", 3),
+                             ("automaton_growth_coeffs", 5), ("ball_growth_coeffs", 10)]:
+            monkeypatch.setattr(series, name,
+                                lambda N, f=factor: [f * big + n for n in range(N + 1)])
+        code, out, err = run(capsys, "growth", "--N", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["n"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            n = row["n"]
+            assert row["delta_ratio"] == pytest.approx(3 / (series.WORD_QFORM * math.sqrt(n)))
+            assert row["gamma_ratio"] == pytest.approx(5 / (series.AUTOMATON_QFORM * n))
+            assert row["ball_ratio"] == pytest.approx(10 / (series.BALL_QFORM * n))
+
+
+class _Discard(io.TextIOBase):
+    def write(self, s):
+        return len(s)
+
+
+def test_growth_streams_its_rows(monkeypatch):
+    # a memory guard, not a timing gate: the command's peak against its peak
+    # once the four series are computed (q is the last), before any output.
+    # Holding N row dicts before printing peaked at 1.95x; streaming, 1.36x
+    partitions = series.odd_distinct_partitions
+    series_peaks = []
+
+    def traced_partitions(N):
+        q = partitions(N)
+        series_peaks.append(tracemalloc.get_traced_memory()[1])
+        return q
+
+    monkeypatch.setattr(series, "odd_distinct_partitions", traced_partitions)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    series._confirmed_q.cache_clear()
+    series._growth_series.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["growth", "--N", "20000", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - before < 1.5 * (series_peaks[-1] - before)
 
 
 # Run under ``python -O``: the route check must not be an assert.
