@@ -4,7 +4,6 @@ from .errors import AutomatonFormatError, CapacityError, VerificationError
 from .mealy import (
     I2,
     MealyAutomaton,
-    WreathForm,
     apply,
     automaton_growth,
     format_automaton,
@@ -14,7 +13,6 @@ from .mealy import (
     parse_automaton,
     power,
     product,
-    unrolled_form,
 )
 from .rewrite import (
     F0,
@@ -43,7 +41,7 @@ from .series import (
     AsymptoteSpec,
     automaton_growth_coeffs,
     ball_growth_coeffs,
-    growth_asymptotes,
+    growth_series,
     odd_distinct_partitions,
     word_growth_coeffs,
 )

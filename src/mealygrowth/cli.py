@@ -84,11 +84,7 @@ def _growth_rows(delta, gamma, ball, q, blank):
 
 
 def cmd_growth(args) -> int:
-    N = args.N
-    delta = series.word_growth_coeffs(N)
-    gamma = series.automaton_growth_coeffs(N)
-    ball = series.ball_growth_coeffs(N)
-    q = series.odd_distinct_partitions(N)
+    q, delta, gamma, ball = series.growth_series(args.N)
     rows = _growth_rows(delta, gamma, ball, q, _text("", args.format))
     keys = _GROWTH_KEYS
 
@@ -166,7 +162,7 @@ def _suite_relations(args):
 
 def _suite_series(args):
     # the library runs these checks and raises VerificationError if one fails
-    series.word_growth_coeffs(args.N)
+    series.growth_series(args.N)
     yield "q: Durfee sum = eta quotient (X^2;X^2)^2 / ((X;X)(X^4;X^4))", True
     for name in ("Delta", "Gamma", "Gamma_S"):
         yield f"{name}: series route = closed form", True
@@ -175,8 +171,7 @@ def _suite_series(args):
 def _suite_oracle(args):
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
-    gamma = series.automaton_growth_coeffs(args.nmax)
-    ball = series.ball_growth_coeffs(args.nmax)
+    _, _, gamma, ball = series.growth_series(args.nmax)
     oracle = _i2_oracle(ball)
     for n in range(1, args.nmax + 1):
         yield f"oracle agreement at n={n}", oracle[n] == (gamma[n], ball[n])

@@ -63,19 +63,6 @@ class MealyAutomaton:
         return f"q{q}"
 
 
-@dataclass(frozen=True)
-class WreathForm:
-    """First-level decomposition of a state's action.
-
-    ``successor_states[x]`` acts on the remainder after the first letter
-    ``x``; ``output_map[x]`` is the image of the first letter.  The output
-    map need not be a permutation.
-    """
-
-    successor_states: tuple[int, ...]
-    output_map: tuple[int, ...]
-
-
 #: The smallest Mealy automaton of intermediate growth: two states over a
 #: two-letter alphabet.  State 0 (f0) swaps letters and stays put; state 1
 #: (f1) outputs x1 constantly, moving to state 0 after reading x1.
@@ -99,12 +86,6 @@ def apply(a: MealyAutomaton, q: int, word) -> tuple[int, ...]:
         out.append(a.outputs[cur][x])
         cur = a.transitions[cur][x]
     return tuple(out)
-
-
-def unrolled_form(a: MealyAutomaton, q: int) -> WreathForm:
-    if not 0 <= q < a.state_count:
-        raise ValueError(f"state {q} out of range")
-    return WreathForm(tuple(a.transitions[q]), tuple(a.outputs[q]))
 
 
 def is_invertible(a: MealyAutomaton) -> bool:

@@ -12,14 +12,17 @@ one-sided as Q(X) (X;X) = sum (-1)^n X^(2n^2): by Gauss's identity that
 theta series is (X^2;X^2)^2 / (X^4;X^4), and it has about sqrt(N/2) terms.
 Each growth series is derived once from q, and every coefficient is
 confirmed against a closed partition formula; a disagreement raises
-``VerificationError``.
+``VerificationError``.  ``growth_series`` does all of this in one call and
+returns q and the three series as new lists: nothing is cached, so nothing
+outlives the caller's use.  The q-form constants below are what the CLI's
+ratio columns divide the exact counts by; the closed main terms in n alone
+are ``AsymptoteSpec``s, compared with exact counts through ``log_evaluate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
@@ -82,15 +85,17 @@ def _durfee_sum(N: int) -> list[int]:
     return t
 
 
-@lru_cache(maxsize=16)
-def _confirmed_q(N: int) -> tuple[int, ...]:
-    """The Durfee sum, confirmed by Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.
+def odd_distinct_partitions(N: int) -> list[int]:
+    """q(0..N): partitions into distinct odd parts, via the Durfee-square sum.
 
-    By Gauss's identity (X^2;X^2)^2 / (X^4;X^4) is the sparse theta series
+    The sum is confirmed by Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.  By Gauss's
+    identity (X^2;X^2)^2 / (X^4;X^4) is the sparse theta series
     sum (-1)^n X^(2n^2), so the check is Q(X) (X;X) = theta.  (X;X) has
     constant term 1, so the identity through X^N fixes q(0..N), and the
     first coefficient where it fails is the first wrong q(n).
     """
+    if N < 0:
+        raise ValueError("N must be non-negative")
     q = _durfee_sum(N)
     lhs = multiply_sparse(q, _euler_terms(N))
     theta = [0] * (N + 1)
@@ -99,32 +104,26 @@ def _confirmed_q(N: int) -> tuple[int, ...]:
     if lhs != theta:
         n = next(n for n, (x, y) in enumerate(zip(lhs, theta)) if x != y)
         raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
-    return tuple(q)
-
-
-def odd_distinct_partitions(N: int) -> list[int]:
-    """q(0..N): partitions into distinct odd parts, via the Durfee-square sum."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    return list(_confirmed_q(N))
+    return q
 
 
 # --- growth coefficients --------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _growth_series(N: int) -> tuple[tuple[int, ...], ...]:
-    """Delta, Gamma and Gamma_S through X^N, each derived once from q.
+def growth_series(N: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """q, Delta, Gamma and Gamma_S through X^N, each confirmed, as new lists.
 
     Delta = (1+X)(1 + X/(1-X) Psi(X)), Gamma = Delta/(1-X^2) and
-    Gamma_S = Delta/(1-X).  Every coefficient of each is confirmed against
-    its closed partition formula before the series are returned.
+    Gamma_S = Delta/(1-X), each derived once from q.  Every coefficient of
+    each is confirmed against its closed partition formula before the
+    series are returned.
     """
     q = odd_distinct_partitions(N)
     # 1 + X/(1-X) Psi(X): the common factor of all three series
     core = divide_one_minus_xk(multiply_sparse(q, [(1, 1)]), 1)
     core[0] += 1
     delta = multiply_sparse(core, [(0, 1), (1, 1)])
-    derived = (delta, divide_one_minus_xk(delta, 2), divide_one_minus_xk(delta, 1))
+    gamma, ball = divide_one_minus_xk(delta, 2), divide_one_minus_xk(delta, 1)
+    derived = (delta, gamma, ball)
 
     s0 = s1 = 0  # sums of q(i) and of i*q(i) over i < n
     for n in range(N + 1):
@@ -141,28 +140,22 @@ def _growth_series(N: int) -> tuple[tuple[int, ...], ...]:
                 )
         s0 += q[n]
         s1 += n * q[n]
-    return tuple(tuple(c) for c in derived)
+    return q, delta, gamma, ball
 
 
 def word_growth_coeffs(N: int) -> list[int]:
     """delta(0..N): number of elements of minimal length exactly n."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    return list(_growth_series(N)[0])
+    return growth_series(N)[1]
 
 
 def automaton_growth_coeffs(N: int) -> list[int]:
     """Gamma(0..N): distinct products of exactly n generators, Delta/(1-X^2)."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    return list(_growth_series(N)[1])
+    return growth_series(N)[2]
 
 
 def ball_growth_coeffs(N: int) -> list[int]:
     """gamma_S(0..N): distinct products of at most n generators, Delta/(1-X)."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    return list(_growth_series(N)[2])
+    return growth_series(N)[3]
 
 
 # --- asymptotics ----------------------------------------------------------
@@ -199,39 +192,7 @@ BALL_ASYMPTOTE = AsymptoteSpec(2**2.25 * 3**0.75 / PI**2, 0.25, BETA)
 
 
 # q-form constants: delta(n) ~ WORD_QFORM sqrt(n) q(n), gamma(n) ~ AUTOMATON_QFORM n q(n)
-# and gamma_S(n) ~ BALL_QFORM n q(n).  The CLI's ratio columns read the same three.
+# and gamma_S(n) ~ BALL_QFORM n q(n).  The CLI's ratio columns divide by them.
 WORD_QFORM = 4 * math.sqrt(6) / PI
 AUTOMATON_QFORM = 24 / PI**2
 BALL_QFORM = 48 / PI**2
-
-
-@dataclass(frozen=True)
-class GrowthAsymptotes:
-    """Main terms at one n in q-form: each growth function as a multiple of q(n).
-
-    delta(n) ~ 4 sqrt(6)/pi sqrt(n) q(n), gamma(n) ~ 24/pi^2 n q(n) and
-    gamma_S(n) ~ 48/pi^2 n q(n).  The closed forms in n alone are the specs
-    ``WORD_ASYMPTOTE``, ``AUTOMATON_ASYMPTOTE`` and ``BALL_ASYMPTOTE``;
-    compare them with exact counts in log space through ``log_evaluate``.
-    """
-
-    word_qform: float
-    automaton_qform: float
-    ball_qform: float
-
-
-def growth_asymptotes(n: int, q_n: int | None = None) -> GrowthAsymptotes:
-    """Evaluate the three q-form main terms at n.
-
-    ``q_n`` can be supplied to avoid recomputing the exact partition count.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if q_n is None:
-        q_n = odd_distinct_partitions(n)[n]
-    qf = float(q_n)
-    return GrowthAsymptotes(
-        word_qform=WORD_QFORM * math.sqrt(n) * qf,
-        automaton_qform=AUTOMATON_QFORM * n * qf,
-        ball_qform=BALL_QFORM * n * qf,
-    )

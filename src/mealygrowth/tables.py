@@ -1,12 +1,14 @@
 """Exact enumeration oracle on finite tree levels.
 
-A semigroup element is stored by its wreath recursion (``unrolled_form``):
-a node is one flat tuple: the m images of the first letter, then the ids
-of the m section nodes one level down.  Nodes are hash-consed, so equal
-elements of one level have one id, and the product is one recursion per
-level, memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w),
-except for a BFS's own products, each formed at most once per parity.  A
-BFS interns into a store of its own; all other tables share one module store.
+A semigroup element is stored by its wreath recursion: a node is one
+flat tuple, the m images of the first letter, then the ids of the m
+section nodes one level down; state q of an automaton has the images
+``outputs[q]`` and the sections ``transitions[q]``.  Nodes are
+hash-consed, so equal elements of one level have one id, and the product
+is one recursion per level, memoized per right factor:
+(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w), except for a BFS's own products,
+each formed at most once per parity.  A BFS interns into a store of its
+own; all other tables share one module store.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityError, VerificationError
-from .mealy import MealyAutomaton, unrolled_form
+from .mealy import MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
 # _Store.build, _Store.factor and _Store.copy recurse once per level
@@ -94,13 +96,11 @@ class _Store:
 
     def states(self, a: MealyAutomaton, k: int) -> list[int]:
         """Level-k node of every state of ``a``, built level by level."""
-        forms = [unrolled_form(a, q) for q in range(a.state_count)]
+        rows = list(zip(a.outputs, a.transitions))
         nodes = [0] * a.state_count
         for _ in range(k):
-            nodes = [
-                self.intern(f.output_map + tuple([nodes[s] for s in f.successor_states]))
-                for f in forms
-            ]
+            nodes = [self.intern(tuple(out) + tuple([nodes[s] for s in nxt]))
+                     for out, nxt in rows]
         return nodes
 
 

@@ -17,7 +17,7 @@ from mealygrowth import (
     automaton_growth_coeffs,
     ball_growth_coeffs,
     enumerate_normal_forms,
-    growth_asymptotes,
+    growth_series,
     hausdorff_sequence,
     i2_quotient_order_formula,
     minimize,
@@ -37,10 +37,13 @@ from mealygrowth import (
 )
 from mealygrowth.series import (
     AUTOMATON_ASYMPTOTE,
+    AUTOMATON_QFORM,
     BALL_ASYMPTOTE,
+    BALL_QFORM,
     BETA,
     Q_ASYMPTOTE,
     WORD_ASYMPTOTE,
+    WORD_QFORM,
     divide_one_minus_xk,
 )
 from mealygrowth.rewrite import reduce as reduce_word
@@ -121,28 +124,22 @@ def test_06_series_identities():
            f"{elapsed:.1f}s")
 
 
-def _ratio_errors(n, q):
-    a = growth_asymptotes(n, q_n=q[n])
-    delta = word_growth_coeffs(n)[n]
-    gamma = automaton_growth_coeffs(n)[n]
-    ball = ball_growth_coeffs(n)[n]
+def _ratio_errors(n, q, delta, gamma, ball):
     return (
-        abs(delta / a.word_qform - 1),
-        abs(gamma / a.automaton_qform - 1),
-        abs(ball / a.ball_qform - 1),
+        abs(delta[n] / q[n] / (WORD_QFORM * math.sqrt(n)) - 1),
+        abs(gamma[n] / q[n] / (AUTOMATON_QFORM * n) - 1),
+        abs(ball[n] / q[n] / (BALL_QFORM * n) - 1),
     )
 
 
 def test_07_growth_asymptotics():
-    q = odd_distinct_partitions(10**4)
-    errs = {n: _ratio_errors(n, q) for n in (100, 1000, 10000)}
+    q, *exact = growth_series(10**4)
+    errs = {n: _ratio_errors(n, q, *exact) for n in (100, 1000, 10000)}
     final = errs[10000]
     ok = all(e < 0.05 for e in final)
     for i in range(3):
         ok = ok and final[i] < errs[1000][i] < errs[100][i]
     # each exact count over its closed main term, from math.log of the big int
-    exact = (word_growth_coeffs(10**4), automaton_growth_coeffs(10**4),
-             ball_growth_coeffs(10**4))
     specs = (WORD_ASYMPTOTE, AUTOMATON_ASYMPTOTE, BALL_ASYMPTOTE)
     closed = [[math.exp(math.log(c[n]) - s.log_evaluate(n)) for n in (100, 1000, 10000)]
               for c, s in zip(exact, specs)]

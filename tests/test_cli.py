@@ -49,28 +49,28 @@ class TestGrowth:
             assert row["oracle_gamma"] == row["gamma"]
             assert row["oracle_ball"] == row["gamma_ball"]
 
-    def test_ratios_match_growth_asymptotes(self, capsys):
-        # the CLI and the library read one set of q-form constants
+    def test_ratios_match_the_float_qform(self, capsys):
+        # the exact-int ratios agree with x / (C n float(q(n))) while q(n) is a double
         code, out, _ = run(capsys, "growth", "--N", "2000", "--format", "json")
         assert code == 0
         lines = out.splitlines()
+        q = series.odd_distinct_partitions(2000)
         for n in (1, 3, 50, 1000, 2000):
             row = json.loads(lines[n - 1])
-            a = series.growth_asymptotes(n)
+            qf = float(q[n])
             assert row["n"] == n
-            assert row["delta_ratio"] == pytest.approx(row["delta"] / a.word_qform, abs=1e-6)
-            assert row["gamma_ratio"] == pytest.approx(row["gamma"] / a.automaton_qform,
-                                                       abs=1e-6)
-            assert row["ball_ratio"] == pytest.approx(row["gamma_ball"] / a.ball_qform,
-                                                      abs=1e-6)
+            assert row["delta_ratio"] == pytest.approx(
+                row["delta"] / (series.WORD_QFORM * math.sqrt(n) * qf), abs=1e-6)
+            assert row["gamma_ratio"] == pytest.approx(
+                row["gamma"] / (series.AUTOMATON_QFORM * n * qf), abs=1e-6)
+            assert row["ball_ratio"] == pytest.approx(
+                row["gamma_ball"] / (series.BALL_QFORM * n * qf), abs=1e-6)
 
     def test_ratios_past_the_double_range(self, capsys, monkeypatch):
         # q(n) passes 1.8e308 near n = 305,000; float(q(n)) would overflow there
         big = 10**400
-        for name, factor in [("odd_distinct_partitions", 1), ("word_growth_coeffs", 3),
-                             ("automaton_growth_coeffs", 5), ("ball_growth_coeffs", 10)]:
-            monkeypatch.setattr(series, name,
-                                lambda N, f=factor: [f * big + n for n in range(N + 1)])
+        monkeypatch.setattr(series, "growth_series", lambda N: tuple(
+            [f * big + n for n in range(N + 1)] for f in (1, 3, 5, 10)))
         code, out, err = run(capsys, "growth", "--N", "3", "--format", "json")
         assert (code, err) == (0, "")
         rows = [json.loads(line) for line in out.splitlines()]
@@ -89,20 +89,18 @@ class _Discard(io.TextIOBase):
 
 def test_growth_streams_its_rows(monkeypatch):
     # a memory guard, not a timing gate: the command's peak against its peak
-    # once the four series are computed (q is the last), before any output.
+    # once the four series are computed, before any output.
     # Holding N row dicts before printing peaked at 1.95x; streaming, 1.36x
-    partitions = series.odd_distinct_partitions
+    growth_series = series.growth_series
     series_peaks = []
 
-    def traced_partitions(N):
-        q = partitions(N)
+    def traced_series(N):
+        out = growth_series(N)
         series_peaks.append(tracemalloc.get_traced_memory()[1])
-        return q
+        return out
 
-    monkeypatch.setattr(series, "odd_distinct_partitions", traced_partitions)
+    monkeypatch.setattr(series, "growth_series", traced_series)
     monkeypatch.setattr(sys, "stdout", _Discard())
-    series._confirmed_q.cache_clear()
-    series._growth_series.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -114,17 +112,30 @@ def test_growth_streams_its_rows(monkeypatch):
     assert peak - before < 1.5 * (series_peaks[-1] - before)
 
 
+def test_growth_keeps_no_memory(monkeypatch):
+    # every list the command builds is dropped on return: no series cache
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["growth", "--N", "20000"])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert kept < 1_000_000
+
+
 # Run under ``python -O``: the route check must not be an assert.
 _FORCED_DISAGREEMENT = """
 import sys
 from mealygrowth import VerificationError, cli, series
 
 divide = series.divide_one_minus_xk
-series.odd_distinct_partitions(20)  # the Durfee sum divides by 1 - X^2 too
 
 def off_by_one(c, k):
     out = divide(c, k)
-    if k == 2:
+    if k == 2 and len(c) == 21:  # Gamma's division; the Durfee sum's has 20 entries
         out[-1] += 1
     return out
 

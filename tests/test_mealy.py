@@ -21,7 +21,6 @@ from mealygrowth import (
     parse_automaton,
     power,
     product,
-    unrolled_form,
 )
 from mealygrowth import mealy, series
 from reference_mealy import reference_minimize
@@ -75,6 +74,16 @@ class TestApply:
         q %= a.state_count
         assert len(apply(a, q, w)) == len(w)
 
+    @given(automata(), st.integers(0, 3), words)
+    def test_decomposition_matches_apply(self, a, q, w):
+        # the first letter goes through state q's rows, the rest through its successor
+        q %= a.state_count
+        if not w:
+            return
+        head, rest = w[0], w[1:]
+        expected = (a.outputs[q][head],) + apply(a, a.transitions[q][head], rest)
+        assert apply(a, q, w) == expected
+
 
 class TestValidation:
     # the first bad row names the error; each whole-table check has a case of its own
@@ -101,28 +110,6 @@ class TestValidation:
     def test_label_count(self):
         with pytest.raises(ValueError, match="^label count must match state count$"):
             MealyAutomaton(2, ((0, 0),), ((0, 1),), ("a", "b"))
-
-
-class TestWreathForm:
-    def test_i2_state0(self):
-        wf = unrolled_form(I2, 0)
-        assert wf.successor_states == (0, 0)
-        assert wf.output_map == (1, 0)
-
-    def test_i2_state1(self):
-        wf = unrolled_form(I2, 1)
-        assert wf.successor_states == (1, 0)
-        assert wf.output_map == (1, 1)
-
-    @given(automata(), st.integers(0, 3), words)
-    def test_decomposition_matches_apply(self, a, q, w):
-        q %= a.state_count
-        if not w:
-            return
-        wf = unrolled_form(a, q)
-        head, rest = w[0], w[1:]
-        expected = (wf.output_map[head],) + apply(a, wf.successor_states[head], rest)
-        assert apply(a, q, w) == expected
 
 
 class TestInvertibility:

@@ -12,7 +12,7 @@ from mealygrowth import (
     automaton_growth_coeffs,
     ball_growth_coeffs,
     enumerate_normal_forms,
-    growth_asymptotes,
+    growth_series,
     odd_distinct_partitions,
     series,
     word_growth_coeffs,
@@ -102,7 +102,6 @@ class TestPartitions:
             q[n] += delta
             return q
 
-        series._confirmed_q.cache_clear()
         with mock.patch.object(series, "_durfee_sum", corrupt):
             with pytest.raises(VerificationError, match=f"at n={n}$"):
                 odd_distinct_partitions(N)
@@ -147,24 +146,22 @@ class TestAsymptotes:
             AsymptoteSpec(-1.0, 0.0, 1.0)
 
     def test_ball_is_twice_automaton(self):
-        a = growth_asymptotes(500)
-        assert a.ball_qform == pytest.approx(2 * a.automaton_qform)
+        assert series.BALL_QFORM == pytest.approx(2 * series.AUTOMATON_QFORM)
         assert BALL_ASYMPTOTE.log_evaluate(500) == pytest.approx(
             math.log(2) + AUTOMATON_ASYMPTOTE.log_evaluate(500)
         )
 
     def test_qform_matches_exact_at_1000(self):
         n = 1000
-        coeffs = ball_growth_coeffs(n)
-        a = growth_asymptotes(n)
-        assert coeffs[n] / a.ball_qform == pytest.approx(1.0, abs=0.05)
+        q, _, _, ball = growth_series(n)
+        assert ball[n] / q[n] / (series.BALL_QFORM * n) == pytest.approx(1.0, abs=0.05)
 
     def test_closed_form_matches_qform_through_q_asymptote(self):
         n = 2000
-        a = growth_asymptotes(n)
         q_exact = odd_distinct_partitions(n)[n]
         # AUTOMATON_ASYMPTOTE is 24/pi^2 n times Q_ASYMPTOTE, as the q-form is of q(n)
-        closed_over_qform = AUTOMATON_ASYMPTOTE.log_evaluate(n) - math.log(a.automaton_qform)
+        qform = math.log(series.AUTOMATON_QFORM * n) + math.log(q_exact)
+        closed_over_qform = AUTOMATON_ASYMPTOTE.log_evaluate(n) - qform
         assert closed_over_qform == pytest.approx(
             Q_ASYMPTOTE.log_evaluate(n) - math.log(q_exact), abs=1e-9
         )
