@@ -137,9 +137,8 @@ def cmd_quotient(args) -> int:
     row = (n, order, formula, _text(order == formula, args.format), round(term, 6))
     _emit_rows(("n", "order", "formula", "match", "hausdorff_term"), [row], args.format)
     if args.depth is not None:
-        gens = [tables.table_of(mealy.I2, q, n) for q in range(2)]
         layers = tables.enumerate_monoid(
-            gens, max_depth=args.depth, max_elements=args.max_elements
+            mealy.I2, n, max_depth=args.depth, max_elements=args.max_elements
         )
         detail = zip(repeat(n), range(len(layers.cumulative)), layers.cumulative,
                      layers.sphere_sizes, layers.layer_sizes)
@@ -270,23 +269,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_quotient)
 
+    # each suite and each action accepts only the flags it reads
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    suites.add_parser("oracle").add_argument("--nmax", type=int, default=8)
+    p = suites.add_parser("relations")
     p.add_argument("--pmax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--level", type=int, default=12)
-    p.add_argument("--N", type=int, default=2000)
+    suites.add_parser("series").add_argument("--N", type=int, default=2000)
+    p = suites.add_parser("width")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("automaton", help="operate on an automaton file")
     p.add_argument("file")
-    p.add_argument("action", choices=("growth", "minimize", "invertible", "product"))
-    p.add_argument("--N", type=int, default=5)
-    p.add_argument("--with", dest="with_file", default=None, metavar="FILE")
-    p.add_argument("--max-states", type=int, default=mealy.DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_automaton)
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("growth")
+    p.add_argument("--N", type=int, default=5)
+    p.add_argument("--max-states", type=int, default=mealy.DEFAULT_STATE_CAP)
+    actions.add_parser("minimize")
+    actions.add_parser("invertible")
+    actions.add_parser("product").add_argument(
+        "--with", dest="with_file", default=None, metavar="FILE")
 
     return parser
 

@@ -39,17 +39,13 @@ class MealyAutomaton:
             raise ValueError("automaton needs at least one state and one letter")
         if len(self.outputs) != n:
             raise ValueError("transition and output tables disagree on state count")
-        flat = itertools.chain.from_iterable
-        if ({*map(len, self.transitions), *map(len, self.outputs)} != {m}
-                or not 0 <= min(flat(self.transitions)) <= max(flat(self.transitions)) < n
-                or not 0 <= min(flat(self.outputs)) <= max(flat(self.outputs)) < m):
-            for q in range(n):  # the first bad row names the error
-                if len(self.transitions[q]) != m or len(self.outputs[q]) != m:
-                    raise ValueError(f"state {q}: table rows must have {m} entries")
-                if any(not 0 <= t < n for t in self.transitions[q]):
-                    raise ValueError(f"state {q}: transition entry out of range")
-                if any(not 0 <= o < m for o in self.outputs[q]):
-                    raise ValueError(f"state {q}: output entry out of range")
+        for q in range(n):  # the first bad row names the error
+            if len(self.transitions[q]) != m or len(self.outputs[q]) != m:
+                raise ValueError(f"state {q}: table rows must have {m} entries")
+            if any(not 0 <= t < n for t in self.transitions[q]):
+                raise ValueError(f"state {q}: transition entry out of range")
+            if any(not 0 <= o < m for o in self.outputs[q]):
+                raise ValueError(f"state {q}: output entry out of range")
         if self.state_labels is not None and len(self.state_labels) != n:
             raise ValueError("label count must match state count")
 
@@ -145,15 +141,14 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
 
     ``cols[x][q]`` is the successor of state q on letter x and ``keys[q]``
     its output key.  The refinement is a worklist form of Moore's rounds.
-    ``bsig[b]`` is the signature shared by the members of block ``b``: its
-    successor block ids as one int in base n + 1.  A state none of whose
-    successors changed block id in the last round keeps its signature, so
-    each round recomputes signatures only for the predecessors of the
-    states that moved.  A dirty state whose signature differs from
-    ``bsig[b]`` leaves ``b``, grouped by ``(b, signature)``; the states that
-    keep ``bsig[b]`` keep the id ``b`` (if none do, the largest group keeps
-    it).  Every round therefore yields Moore's partition, and the loop
-    stops, when no state moves, where Moore's does.
+    A state's signature, its successor block ids as one int in base n + 1,
+    changes only when a successor moves, and a state that moves takes a
+    fresh id.  So each round recomputes only the dirty states, the moved
+    states' predecessors, whose signatures differ from those of the clean
+    members of their block ``b``: they leave ``b``, grouped by signature
+    (if no clean member stays, the largest group keeps ``b``).  Every round
+    therefore yields Moore's partition, and the loop stops, when no state
+    moves, where Moore's does.
     """
     n = len(keys)
     base = n + 1
@@ -162,7 +157,6 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
     size = [0] * len(ids)
     for b in block:
         size[b] += 1
-    bsig = [-1] * len(size)  # no signature yet: every state leaves in round one
     preds = [[] for _ in range(n)]
     for col in cols:
         for q, t in enumerate(col):
@@ -174,21 +168,19 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
             sigs = [s * base + block[col[q]] for s, q in zip(sigs, dirty)]
         groups = {}
         for q, s in zip(dirty, sigs):
-            if s != bsig[block[q]]:
-                groups.setdefault((block[q], s), []).append(q)
-        stay = {}  # how many members of b keep bsig[b]
+            groups.setdefault((block[q], s), []).append(q)
+        stay = {}  # how many members of b are clean
         for (b, _), qs in groups.items():
             stay[b] = stay.get(b, size[b]) - len(qs)
         moved = []
-        for (b, s), qs in sorted(groups.items(), key=lambda g: len(g[1]), reverse=True):
-            if not stay[b]:  # no member keeps bsig[b]: the largest group keeps b
-                stay[b], bsig[b] = len(qs), s
+        for (b, _), qs in sorted(groups.items(), key=lambda g: len(g[1]), reverse=True):
+            if not stay[b]:  # every member of b is dirty: the largest group keeps b
+                stay[b] = len(qs)
                 continue
             size[b] -= len(qs)
             for q in qs:
                 block[q] = len(size)
             size.append(len(qs))
-            bsig.append(s)
             moved += qs
         dirty = set(itertools.chain.from_iterable(map(preds.__getitem__, moved)))
     reps = sorted(dict(zip(reversed(block), reversed(range(n)))).values())

@@ -22,7 +22,7 @@ from .errors import CapacityError, VerificationError
 from .mealy import MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
-# _Store.build, _Store.factor and _Store.copy recurse once per level
+# _Store.build and _Store.factor recurse once per level
 MAX_LEVEL = sys.getrecursionlimit() // 4
 
 
@@ -83,17 +83,6 @@ class _Store:
             node = memo[h] = self.build(h, r)
         return node
 
-    def copy(self, other: _Store, node: int, copied: dict[int, int]) -> int:
-        """Intern ``node`` of another store, with all of its sections, here."""
-        mine = copied.get(node)
-        if mine is None:
-            flat = other.nodes[node]
-            m = len(flat) // 2
-            mine = copied[node] = self.intern(
-                flat[:m] + tuple([self.copy(other, s, copied) for s in flat[m:]])
-            )
-        return mine
-
     def states(self, a: MealyAutomaton, k: int) -> list[int]:
         """Level-k node of every state of ``a``, built level by level."""
         rows = list(zip(a.outputs, a.transitions))
@@ -102,6 +91,13 @@ class _Store:
             nodes = [self.intern(tuple(out) + tuple([nodes[s] for s in nxt]))
                      for out, nxt in rows]
         return nodes
+
+    def identity(self, m: int, k: int) -> int:
+        """Level-k identity node over ``m`` letters."""
+        node = 0
+        for _ in range(k):
+            node = self.intern(tuple(range(m)) + (node,) * m)
+        return node
 
 
 _STORE = _Store()
@@ -172,10 +168,7 @@ def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
     _check_level(k)
-    node = 0
-    for _ in range(k):
-        node = _STORE.intern(tuple(range(m)) + (node,) * m)
-    return TransformTable(k, m, node)
+    return TransformTable(k, m, _STORE.identity(m, k))
 
 
 def compose(f: TransformTable, g: TransformTable) -> TransformTable:
@@ -206,7 +199,6 @@ class GrowthLayers:
     exactly d generators when some generator is an involution (I2's f0).
     """
 
-    level: int
     layer_sizes: list[int]
     cumulative: list[int]
     sphere_sizes: list[int]
@@ -218,29 +210,25 @@ class GrowthLayers:
 
 
 def enumerate_monoid(
-    gens: list[TransformTable],
+    a: MealyAutomaton,
+    level: int,
     max_depth: int | None = None,
     max_elements: int = MAX_ELEMENTS,
     spheres: bool = True,
 ) -> GrowthLayers:
-    """BFS closure of the monoid generated by ``gens`` (identity included).
+    """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
-    Elements are interned nodes of a store local to this call, so equality
-    is exact.  When ``spheres`` is set, an element is expanded again when
-    first reached at the other length parity; ``sphere_sizes`` is as
-    described in ``GrowthLayers``.
+    The generators and elements are interned nodes of a store local to this
+    call, so equality is exact.  When ``spheres`` is set, an element is
+    expanded again when first reached at the other length parity;
+    ``sphere_sizes`` is as described in ``GrowthLayers``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    if not gens:
-        raise ValueError("need at least one generator")
-    level, m = gens[0].level, gens[0].alphabet_size
-    if any(g.level != level or g.alphabet_size != m for g in gens):
-        raise ValueError("generators must share level and alphabet")
+    _check_level(level)
     store = _Store()
-    copied: dict[int, int] = {}
-    gen_factors = [store.factor(store.copy(_STORE, g.node, copied)) for g in gens]
-    ident = store.copy(_STORE, identity_table(level, m).node, copied)
+    gen_factors = [store.factor(g) for g in store.states(a, level)]
+    ident = store.identity(a.alphabet_size, level)
     build = store.build  # the BFS's own products are not memoized
     # bit p of seen[x]: x is the product of some word of a length of parity p
     seen = {ident: 1}
@@ -272,16 +260,14 @@ def enumerate_monoid(
     # depth d, so sphere(d) sums the frontier sizes at depths d, d-2, ...
     for d in range(2, len(sphere_sizes)):
         sphere_sizes[d] += sphere_sizes[d - 2]
-    return GrowthLayers(level, layer_sizes, cumulative, sphere_sizes if spheres else [],
-                        not frontier)
+    return GrowthLayers(layer_sizes, cumulative, sphere_sizes if spheres else [], not frontier)
 
 
 def quotient_order(a: MealyAutomaton, n: int, max_elements: int = MAX_ELEMENTS) -> int:
     """Size of the quotient monoid acting on length-n words, by full BFS."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    gens = [table_of(a, q, n) for q in range(a.state_count)]
-    return enumerate_monoid(gens, max_elements=max_elements, spheres=False).element_count
+    return enumerate_monoid(a, n, max_elements=max_elements, spheres=False).element_count
 
 
 def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int]]:
@@ -297,8 +283,7 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
         raise ValueError("radius must be >= 1")
     runs = []
     for k in (nmax // 2 + 2, nmax // 2 + 3):
-        gens = [table_of(a, q, k) for q in range(a.state_count)]
-        layers = enumerate_monoid(gens, max_depth=nmax)
+        layers = enumerate_monoid(a, k, max_depth=nmax)
         sphere, ball = layers.sphere_sizes, layers.cumulative
         while len(ball) <= nmax:  # saturated early: balls stay, spheres repeat
             sphere.append(sphere[-2])

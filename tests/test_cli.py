@@ -343,6 +343,22 @@ def test_bad_requests_fail_before_output(capsys, tmp_path, argv):
     assert line.startswith("error: ")
 
 
+# A flag that the chosen suite or action does not read is a usage error.
+@pytest.mark.parametrize("argv", [
+    ["verify", "oracle", "--N", "40"],
+    ["verify", "series", "--nmax", "3"],
+    ["automaton", "{aut}", "invertible", "--N", "4"],
+    ["automaton", "{aut}", "minimize", "--with", "{aut}"],
+])
+def test_flags_of_another_suite_or_action_are_rejected(capsys, tmp_path, argv):
+    aut = tmp_path / "i2.aut"
+    aut.write_text(format_automaton(I2))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(aut=aut) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # Each of these once checked nothing, printed a pass and exited 0.
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "oracle", "--nmax", "0"], "--nmax"),

@@ -85,10 +85,11 @@ class TestTableOf:
         bound = tables.MAX_LEVEL
         assert table_of(I2, 0, 40).level == 40
         assert word_table(I2, (1, 0, 1, 1, 0), bound).level == bound
-        gens = [table_of(I2, q, bound) for q in range(2)]
-        assert enumerate_monoid(gens, max_depth=3).cumulative == [1, 3, 6, 10]
+        assert enumerate_monoid(I2, bound, max_depth=3).cumulative == [1, 3, 6, 10]
         with pytest.raises(CapacityError):
             table_of(I2, 0, bound + 1)
+        with pytest.raises(CapacityError):
+            enumerate_monoid(I2, bound + 1, max_depth=3)
         with pytest.raises(CapacityError):
             word_table(I2, (1, 0), bound + 1)
         # only the flat packed array has an m**k size limit
@@ -163,8 +164,7 @@ class TestCompose:
 
 class TestEnumeration:
     def test_level1_monoid(self):
-        gens = [table_of(I2, q, 1) for q in range(2)]
-        layers = enumerate_monoid(gens)
+        layers = enumerate_monoid(I2, 1)
         assert layers.element_count == 4
         assert layers.saturated
 
@@ -173,8 +173,7 @@ class TestEnumeration:
             assert quotient_order(I2, n) == i2_quotient_order_formula(n)
 
     def test_sphere_vs_ball_level2(self):
-        gens = [table_of(I2, q, 2) for q in range(2)]
-        layers = enumerate_monoid(gens)
+        layers = enumerate_monoid(I2, 2)
         # ball sizes are monotone; spheres can only count matching parity
         assert layers.cumulative == sorted(layers.cumulative)
         assert all(s <= b for s, b in zip(layers.sphere_sizes, layers.cumulative))
@@ -186,8 +185,7 @@ class TestEnumeration:
 
     def test_element_cap_stops_within_a_layer(self, monkeypatch):
         # the cap is checked as each element is recorded, not after a layer
-        gens = [table_of(I2, q, 8) for q in range(2)]
-        full = enumerate_monoid(gens, spheres=False)
+        full = enumerate_monoid(I2, 8, spheres=False)
         d = full.layer_sizes.index(max(full.layer_sizes))
         cap = full.cumulative[d - 1] + 5
         assert full.cumulative[d] > cap + 100
@@ -203,11 +201,11 @@ class TestEnumeration:
         counts = []
         for depth in (d - 1, d):
             calls = 0
-            enumerate_monoid(gens, max_depth=depth, spheres=False)
+            enumerate_monoid(I2, 8, max_depth=depth, spheres=False)
             counts.append(calls)
         calls = 0
         with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
-            enumerate_monoid(gens, spheres=False, max_elements=cap)
+            enumerate_monoid(I2, 8, spheres=False, max_elements=cap)
         # each BFS has a fresh store, so the layers before d repeat exactly
         before, through = counts
         assert before < calls < before + (through - before) // 4
@@ -216,31 +214,17 @@ class TestEnumeration:
     @settings(deadline=None)
     def test_matches_reference(self, case, depth, spheres):
         a, k, _ = case
-        gens = [table_of(a, q, k) for q in range(a.state_count)]
-        layers = enumerate_monoid(gens, max_depth=depth, spheres=spheres)
+        layers = enumerate_monoid(a, k, max_depth=depth, spheres=spheres)
         ref_gens = reference_state_tables(a, k)
         assert (
             layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
         ) == reference_enumerate(ref_gens, max_depth=depth, spheres=spheres)
 
-    @given(automaton_words(3), st.integers(0, 6))
-    @settings(deadline=None)
-    def test_word_table_generators_match_reference(self, case, depth):
-        # the sections of a word table need not be generators or states
-        a, k, state_words = case
-        gens = [word_table(a, w, k) for w in state_words]
-        layers = enumerate_monoid(gens, max_depth=depth)
-        ref_gens = [reference_word_table(a, w, k) for w in state_words]
-        assert (
-            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
-        ) == reference_enumerate(ref_gens, max_depth=depth)
-
     def test_bfs_memory_is_freed_on_return(self):
-        gens = [table_of(I2, q, 10) for q in range(2)]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layers = enumerate_monoid(gens, spheres=False)
+            layers = enumerate_monoid(I2, 10, spheres=False)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -251,11 +235,10 @@ class TestEnumeration:
     def test_bfs_bytes_per_element(self):
         # a memory guard, not a timing gate: flat nodes, parity bits and no
         # memo of the BFS's own products give about 340 B per element
-        gens = [table_of(I2, q, 11) for q in range(2)]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layers = enumerate_monoid(gens, spheres=False)
+            layers = enumerate_monoid(I2, 11, spheres=False)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -281,9 +264,9 @@ class TestStabilizedOracle:
         nmax = 12
         enumerate_real = tables.enumerate_monoid
 
-        def shifted(gens, **kwargs):
-            layers = enumerate_real(gens, **kwargs)
-            if gens[0].level == nmax // 2 + 3:
+        def shifted(a, level, **kwargs):
+            layers = enumerate_real(a, level, **kwargs)
+            if level == nmax // 2 + 3:
                 layers.sphere_sizes[bad] += 1
             return layers
 
