@@ -55,7 +55,6 @@ from .tables import (
     i2_quotient_order_formula,
     identity_table,
     pack_word,
-    quotient_order,
     spherical_growth_oracle,
     stabilized_growth_table,
     table_of,

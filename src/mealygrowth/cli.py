@@ -132,15 +132,15 @@ def cmd_quotient(args) -> int:
     n = args.n
     formula = tables.i2_quotient_order_formula(n)
     _check_elements(formula, args.max_elements)
-    order = tables.quotient_order(mealy.I2, n, max_elements=args.max_elements)
+    layers = tables.enumerate_monoid(mealy.I2, n, max_elements=args.max_elements,
+                                     spheres=args.depth is not None)
+    order = layers.element_count
     term = math.log(order) / ((2**n - 1) * math.log(4))
     row = (n, order, formula, _text(order == formula, args.format), round(term, 6))
     _emit_rows(("n", "order", "formula", "match", "hausdorff_term"), [row], args.format)
     if args.depth is not None:
-        layers = tables.enumerate_monoid(
-            mealy.I2, n, max_depth=args.depth, max_elements=args.max_elements
-        )
-        detail = zip(repeat(n), range(len(layers.cumulative)), layers.cumulative,
+        # the first depth+1 rows of the full BFS are those of a depth-limited one
+        detail = zip(repeat(n), range(args.depth + 1), layers.cumulative,
                      layers.sphere_sizes, layers.layer_sizes)
         _emit_rows(("level", "depth", "ball", "sphere", "new"), detail, args.format)
     return 0 if order == formula else 1
@@ -152,6 +152,8 @@ def _suite_relations(args):
     for flag in ("pmax", "nmax"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be non-negative")
+    if args.level < 1:  # every level-0 table is the empty map
+        raise ValueError("--level must be at least 1")
     for p in range(args.pmax + 1):
         yield f"relation r_{p} at level {args.level}", rewrite.verify_relation(p, args.level)
     for n in range(1, args.nmax + 1):
@@ -179,8 +181,8 @@ def _suite_oracle(args):
 def _suite_width(args):
     import random
 
-    if args.count < 0:
-        raise ValueError("count must be non-negative")
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     rng = random.Random(args.seed)
     for i in range(args.count):
         word = [rng.randint(0, 1) for _ in range(rng.randint(1, 30))]
@@ -195,17 +197,9 @@ def _suite_width(args):
     yield f"width invariant over {args.count} random rewrites", True
 
 
-_SUITES = {
-    "relations": _suite_relations,
-    "series": _suite_series,
-    "oracle": _suite_oracle,
-    "width": _suite_width,
-}
-
-
 def cmd_verify(args) -> int:
     failures = 0
-    for name, ok in _SUITES[args.suite](args):
+    for name, ok in args.checks(args):
         print(json.dumps({"check": name, "pass": bool(ok)}))
         if not ok:
             failures += 1
@@ -273,15 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.set_defaults(func=cmd_verify)
     suites = p.add_subparsers(dest="suite", required=True)
-    suites.add_parser("oracle").add_argument("--nmax", type=int, default=8)
+    p = suites.add_parser("oracle")
+    p.add_argument("--nmax", type=int, default=8)
+    p.set_defaults(checks=_suite_oracle)
     p = suites.add_parser("relations")
     p.add_argument("--pmax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--level", type=int, default=12)
-    suites.add_parser("series").add_argument("--N", type=int, default=2000)
+    p.set_defaults(checks=_suite_relations)
+    p = suites.add_parser("series")
+    p.add_argument("--N", type=int, default=2000)
+    p.set_defaults(checks=_suite_series)
     p = suites.add_parser("width")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(checks=_suite_width)
 
     p = sub.add_parser("automaton", help="operate on an automaton file")
     p.add_argument("file")

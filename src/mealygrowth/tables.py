@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityError, VerificationError
-from .mealy import MealyAutomaton
+from .mealy import I2, MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
 # _Store.build and _Store.factor recurse once per level
@@ -263,32 +263,27 @@ def enumerate_monoid(
     return GrowthLayers(layer_sizes, cumulative, sphere_sizes if spheres else [], not frontier)
 
 
-def quotient_order(a: MealyAutomaton, n: int, max_elements: int = MAX_ELEMENTS) -> int:
-    """Size of the quotient monoid acting on length-n words, by full BFS."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    return enumerate_monoid(a, n, max_elements=max_elements, spheres=False).element_count
-
-
 def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int]]:
-    """(sphere, ball) sizes at radii 0..nmax, by BFS at the stabilization level.
+    """(sphere, ball) sizes of I2 at radii 0..nmax, by BFS at the stabilization level.
 
     A product of n generators has normal-form exponents below n/2, and
     level k separates quotient normal forms with exponents under k-1, so
     floor(nmax/2)+2 suffices for every n <= nmax.  The run one level deeper
     is a belt-and-braces check, since faithfulness is only proven on infinite
     words; ``VerificationError`` names the first radius where they differ.
+    The level rule comes from I2's normal forms, and the BFS spheres are
+    exact-length counts because I2's f0 is an involution, so ``a`` must have
+    I2's transitions and outputs, hence its alphabet; its labels are ignored.
     """
+    if (a.transitions, a.outputs) != (I2.transitions, I2.outputs):
+        raise ValueError("the stabilization oracle holds only for I2")
     if nmax < 1:
         raise ValueError("radius must be >= 1")
     runs = []
     for k in (nmax // 2 + 2, nmax // 2 + 3):
+        # I2 has new elements at every radius, so each run reaches depth nmax
         layers = enumerate_monoid(a, k, max_depth=nmax)
-        sphere, ball = layers.sphere_sizes, layers.cumulative
-        while len(ball) <= nmax:  # saturated early: balls stay, spheres repeat
-            sphere.append(sphere[-2])
-            ball.append(ball[-1])
-        runs.append(list(zip(sphere, ball)))
+        runs.append(list(zip(layers.sphere_sizes, layers.cumulative)))
     for n, (low, high) in enumerate(zip(*runs)):
         if low != high:
             raise VerificationError(f"growth counts did not stabilize at radius {n}")
@@ -296,12 +291,12 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
 
 
 def spherical_growth_oracle(a: MealyAutomaton, n: int) -> int:
-    """Number of distinct products of exactly n generators."""
+    """Number of distinct products of exactly n generators of I2."""
     return stabilized_growth_table(a, n)[n][0]
 
 
 def ball_growth_oracle(a: MealyAutomaton, n: int) -> int:
-    """Number of distinct products of at most n generators."""
+    """Number of distinct products of at most n generators of I2."""
     return stabilized_growth_table(a, n)[n][1]
 
 

@@ -248,6 +248,24 @@ class TestQuotient:
         assert rows[0] == {"level": 2, "depth": 0, "ball": 1, "sphere": 1, "new": 1}
         assert all(r["sphere"] <= r["ball"] for r in rows)
 
+    def test_depth_detail_is_one_bfs(self, capsys, monkeypatch):
+        # the order and the depth rows come from one BFS; its first depth+1
+        # rows are those of a BFS cut at that depth
+        calls = []
+        enumerate_real = tables.enumerate_monoid
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return enumerate_real(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "enumerate_monoid", counting)
+        code, out, _ = run(capsys, "quotient", "--n", "9", "--depth", "30")
+        assert (code, len(calls)) == (0, 1)
+        cut = enumerate_real(I2, 9, max_depth=30)
+        rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[3:]]
+        assert rows == [(9, d, *r) for d, r in enumerate(
+            zip(cut.cumulative, cut.sphere_sizes, cut.layer_sizes))]
+
     def test_level_13_fits_in_1_gib(self):
         # 204,802 elements; under the cap, a representation that does not
         # fit ends as a MemoryError (exit 2) instead of swapping or an OOM kill
@@ -365,6 +383,8 @@ def test_flags_of_another_suite_or_action_are_rejected(capsys, tmp_path, argv):
     (["verify", "oracle", "--nmax", "-2"], "--nmax"),
     (["verify", "relations", "--pmax", "-1", "--nmax", "0"], "--pmax"),
     (["verify", "relations", "--pmax", "0", "--nmax", "-1"], "--nmax"),
+    (["verify", "relations", "--level", "0"], "--level"),
+    (["verify", "width", "--count", "0"], "--count"),
 ])
 def test_vacuous_verify_ranges_fail_before_output(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

@@ -20,7 +20,6 @@ from mealygrowth import (
     i2_quotient_order_formula,
     identity_table,
     pack_word,
-    quotient_order,
     stabilized_growth_table,
     table_of,
     tables,
@@ -170,7 +169,8 @@ class TestEnumeration:
 
     def test_quotient_orders_small(self):
         for n in (1, 2, 3):
-            assert quotient_order(I2, n) == i2_quotient_order_formula(n)
+            order = enumerate_monoid(I2, n, spheres=False).element_count
+            assert order == i2_quotient_order_formula(n)
 
     def test_sphere_vs_ball_level2(self):
         layers = enumerate_monoid(I2, 2)
@@ -181,7 +181,7 @@ class TestEnumeration:
 
     def test_element_cap(self):
         with pytest.raises(CapacityError):
-            quotient_order(I2, 6, max_elements=50)
+            enumerate_monoid(I2, 6, spheres=False, max_elements=50)
 
     def test_element_cap_stops_within_a_layer(self, monkeypatch):
         # the cap is checked as each element is recorded, not after a layer
@@ -275,18 +275,16 @@ class TestStabilizedOracle:
             stabilized_growth_table(I2, nmax)
 
     @pytest.mark.parametrize("outputs", [(1, 0), (0, 0)])
-    def test_saturated_monoid_fills_every_radius(self, outputs):
+    def test_only_i2_is_admitted(self, outputs):
         # one state: s swaps every letter (s^2 = 1) or e writes 0s (e^2 = e);
-        # both monoids saturate at depth 2, and the BFS then stops early
+        # I2's level rule does not hold for them
         a = MealyAutomaton(2, ((0, 0),), (outputs,))
-        nmax, k = 7, 5
-        expected = []
-        for d in range(nmax + 1):
-            # the BFS's spheres count lengths <= d of d's parity
-            ball = {word_table(a, (0,) * e, k) for e in range(d + 1)}
-            sphere = {word_table(a, (0,) * e, k) for e in range(d % 2, d + 1, 2)}
-            expected.append((len(sphere), len(ball)))
-        assert stabilized_growth_table(a, nmax) == expected
+        with pytest.raises(ValueError, match="^the stabilization oracle holds only for I2$"):
+            stabilized_growth_table(a, 7)
+
+    def test_labels_are_ignored(self):
+        relabelled = MealyAutomaton(2, I2.transitions, I2.outputs, ("a", "b"))
+        assert stabilized_growth_table(relabelled, 12) == stabilized_growth_table(I2, 12)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
