@@ -268,10 +268,6 @@ def width(word) -> int:
     even f0-run (including none) closes a block.  Invariant under all
     defining relations; zero exactly for powers of f0.
     """
-    word = tuple(word)
-    ones = word.count(1)
-    if ones == 0:
-        return 0
     run = 0
     seen_one = False
     blocks = []
@@ -287,9 +283,11 @@ def width(word) -> int:
                 blocks.append(current)
                 current = 1
             run = 0
-        else:
+        elif c == 0:
             if seen_one:
                 run += 1
+        else:
+            raise ValueError(f"invalid generator {c!r}")
     blocks.append(current)
     sums = [0]
     total = 0

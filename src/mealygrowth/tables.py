@@ -17,7 +17,9 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 
+from . import series
 from .errors import CapacityError, VerificationError
 from .mealy import I2, MealyAutomaton
 
@@ -180,6 +182,9 @@ def compose(f: TransformTable, g: TransformTable) -> TransformTable:
 
 def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     """Level-k table of a product of states, leftmost factor applied last."""
+    for q in set(word):  # once per state, not per letter
+        if not 0 <= q < a.state_count:
+            raise ValueError(f"state {q} out of range")
     result = identity_table(k, a.alphabet_size).node
     states = [_STORE.factor(s) for s in _STORE.states(a, k)]
     # rightmost factor acts first: the left-to-right fold gives f_q0 o f_q1 o ...
@@ -268,26 +273,29 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
 
     A product of n generators has normal-form exponents below n/2, and
     level k separates quotient normal forms with exponents under k-1, so
-    floor(nmax/2)+2 suffices for every n <= nmax.  The run one level deeper
-    is a belt-and-braces check, since faithfulness is only proven on infinite
-    words; ``VerificationError`` names the first radius where they differ.
-    The level rule comes from I2's normal forms, and the BFS spheres are
-    exact-length counts because I2's f0 is an involution, so ``a`` must have
-    I2's transitions and outputs, hence its alphabet; its labels are ignored.
+    floor(nmax/2)+2 suffices for every n <= nmax.  The BFS never reads the
+    series; each row is then compared with (gamma(n), gamma_S(n)), and
+    ``VerificationError`` names the first radius where they differ.  A
+    level too shallow merges elements, so its counts fall below the true
+    ones, and the comparison catches that.  The level
+    rule comes from I2's normal forms, and the BFS spheres are exact-length
+    counts because I2's f0 is an involution, so ``a`` must have I2's
+    transitions and outputs, hence its alphabet; its labels are ignored.
     """
     if (a.transitions, a.outputs) != (I2.transitions, I2.outputs):
         raise ValueError("the stabilization oracle holds only for I2")
     if nmax < 1:
         raise ValueError("radius must be >= 1")
-    runs = []
-    for k in (nmax // 2 + 2, nmax // 2 + 3):
-        # I2 has new elements at every radius, so each run reaches depth nmax
-        layers = enumerate_monoid(a, k, max_depth=nmax)
-        runs.append(list(zip(layers.sphere_sizes, layers.cumulative)))
-    for n, (low, high) in enumerate(zip(*runs)):
-        if low != high:
-            raise VerificationError(f"growth counts did not stabilize at radius {n}")
-    return runs[0]
+    _, _, gamma, ball = series.growth_series(nmax)
+    if ball[nmax] > MAX_ELEMENTS:  # the BFS would store that many elements
+        raise CapacityError(f"element count {ball[nmax]} exceeds cap {MAX_ELEMENTS}")
+    # I2 has new elements at every radius, so the run reaches depth nmax
+    layers = enumerate_monoid(a, nmax // 2 + 2, max_depth=nmax)
+    table = list(zip(layers.sphere_sizes, layers.cumulative))
+    for n, (row, want) in enumerate(zip_longest(table, zip(gamma, ball))):
+        if row != want:
+            raise VerificationError(f"BFS growth counts disagree with the series at radius {n}")
+    return table
 
 
 def spherical_growth_oracle(a: MealyAutomaton, n: int) -> int:

@@ -348,6 +348,26 @@ def test_oversized_requests_fail_fast(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["growth", "--N", "12", "--oracle"],
+    ["verify", "oracle", "--nmax", "12"],
+])
+def test_oracle_mismatch_fails_before_output(capsys, monkeypatch, argv):
+    # the BFS miscounts at radius 7; the oracle's own check against the series fails
+    enumerate_real = tables.enumerate_monoid
+
+    def shifted(a, level, **kwargs):
+        layers = enumerate_real(a, level, **kwargs)
+        layers.sphere_sizes[7] += 1
+        return layers
+
+    monkeypatch.setattr(tables, "enumerate_monoid", shifted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith("radius 7")
+
+
+@pytest.mark.parametrize("argv", [
     ["quotient", "--n", "3", "--depth", "-1"],
     ["verify", "width", "--count", "-3"],
     ["automaton", "{aut}", "product"],  # no --with FILE

@@ -269,6 +269,12 @@ class TestWidth:
         # 1 0 1: odd gap keeps one block of size 2
         assert width((1, 0, 1)) == 2
 
+    @pytest.mark.parametrize("word", [(0, 1, 2), (2,), (0, 2)])
+    def test_invalid_generator(self, word):
+        # a letter other than 0 or 1 once counted as f0
+        with pytest.raises(ValueError, match="^invalid generator 2$"):
+            width(word)
+
     def test_relation_sides_have_width_p_plus_1(self):
         for p in range(5):
             lhs, rhs = relation_sides(p)

@@ -100,6 +100,12 @@ class TestTableOf:
         with pytest.raises(ValueError, match="out of range"):
             table_of(I2, 0, 2)(word)
 
+    @pytest.mark.parametrize("word,bad", [((-1,), -1), ((2,), 2), ((0, 1, 5), 5)])
+    def test_word_state_out_of_range(self, word, bad):
+        # a negative state once wrapped round to the last one
+        with pytest.raises(ValueError, match=f"^state {bad} out of range$"):
+            word_table(I2, word, 3)
+
     @given(automaton_words(0))
     def test_outputs_match_reference(self, case):
         a, k, _ = case
@@ -261,18 +267,29 @@ class TestStabilizedOracle:
 
     @pytest.mark.parametrize("bad", [0, 1, 7, 12])
     def test_mismatch_names_first_radius(self, monkeypatch, bad):
-        nmax = 12
+        # the fault is in every BFS run, so only the series can catch it
         enumerate_real = tables.enumerate_monoid
 
         def shifted(a, level, **kwargs):
             layers = enumerate_real(a, level, **kwargs)
-            if level == nmax // 2 + 3:
-                layers.sphere_sizes[bad] += 1
+            layers.sphere_sizes[bad] += 1
             return layers
 
         monkeypatch.setattr(tables, "enumerate_monoid", shifted)
         with pytest.raises(VerificationError, match=rf"at radius {bad}$"):
-            stabilized_growth_table(I2, nmax)
+            stabilized_growth_table(I2, 12)
+
+    def test_one_bfs_at_the_stabilization_level(self, monkeypatch):
+        enumerate_real = tables.enumerate_monoid
+        levels = []
+
+        def recording(a, level, **kwargs):
+            levels.append(level)
+            return enumerate_real(a, level, **kwargs)
+
+        monkeypatch.setattr(tables, "enumerate_monoid", recording)
+        stabilized_growth_table(I2, 12)
+        assert levels == [8]
 
     @pytest.mark.parametrize("outputs", [(1, 0), (0, 0)])
     def test_only_i2_is_admitted(self, outputs):
