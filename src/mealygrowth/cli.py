@@ -113,10 +113,9 @@ def cmd_quotient(args) -> int:
         raise ValueError("depth must be non-negative")
     n = args.n
     formula = tables.i2_quotient_order_formula(n)
-    if formula > args.max_elements:  # fail fast, before the BFS stores them
-        raise CapacityError(f"element count {formula} exceeds cap {args.max_elements}")
-    layers = tables.enumerate_monoid(mealy.I2, n, max_elements=args.max_elements,
-                                     spheres=args.depth is not None)
+    if formula > tables.MAX_ELEMENTS:  # fail fast, before the BFS stores them
+        raise CapacityError(f"element count {formula} exceeds cap {tables.MAX_ELEMENTS}")
+    layers = tables.enumerate_monoid(mealy.I2, n, spheres=args.depth is not None)
     order = layers.element_count
     term = math.log(order) / ((2**n - 1) * math.log(4))
     row = (n, order, formula, _text(order == formula, args.format), round(term, 6))
@@ -200,7 +199,7 @@ def cmd_automaton(args) -> int:
     elif args.action == "minimize":
         sys.stdout.write(mealy.format_automaton(mealy.minimize(a)))
     elif args.action == "growth":
-        counts = mealy.automaton_growth(a, args.N, max_states=args.max_states)
+        counts = mealy.automaton_growth(a, args.N)
         print(",".join(str(c) for c in counts))
     elif args.action == "product":
         if args.with_file is None:
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=None,
                    help="also print level,depth,ball,sphere,new rows")
-    p.add_argument("--max-elements", type=int, default=tables.MAX_ELEMENTS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_quotient)
 
@@ -270,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_automaton)
     actions = p.add_subparsers(dest="action", required=True)
-    p = actions.add_parser("growth")
-    p.add_argument("--N", type=int, default=5)
-    p.add_argument("--max-states", type=int, default=mealy.DEFAULT_STATE_CAP)
+    actions.add_parser("growth").add_argument("--N", type=int, default=5)
     actions.add_parser("minimize")
     actions.add_parser("invertible")
     actions.add_parser("product").add_argument(

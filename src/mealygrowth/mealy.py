@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import AutomatonFormatError, CapacityError
 
-DEFAULT_STATE_CAP = 10**6
+MAX_STATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,24 @@ def product(a: MealyAutomaton, b: MealyAutomaton) -> MealyAutomaton:
     """
     if a.alphabet_size != b.alphabet_size:
         raise ValueError("automata must share an alphabet")
-    m = a.alphabet_size
-    nb = b.state_count
-    trans, outs, labels = [], [], []
-    for q1 in range(a.state_count):
-        for q2 in range(nb):
-            trow, orow = [], []
-            for x in range(m):
-                y = b.outputs[q2][x]
-                trow.append(a.transitions[q1][y] * nb + b.transitions[q2][x])
-                orow.append(a.outputs[q1][y])
-            trans.append(tuple(trow))
-            outs.append(tuple(orow))
-            labels.append(f"{a.label(q1)}.{b.label(q2)}")
-    return MealyAutomaton(m, tuple(trans), tuple(outs), tuple(labels))
+    trans, outs = _product((list(zip(*a.transitions)), list(zip(*a.outputs))), b)
+    labels = [f"{a.label(q1)}.{b.label(q2)}" for q1 in range(a.state_count)
+              for q2 in range(b.state_count)]
+    return MealyAutomaton(a.alphabet_size, tuple(zip(*trans)), tuple(zip(*outs)), tuple(labels))
+
+
+def _product(left_columns, b: MealyAutomaton):
+    """Per-letter columns (trans[x][q], outs[x][q]) of the product of a left
+    factor, given by its columns, and ``b``: state (q1, q2) is q1 * n_b + q2."""
+    l_trans, l_outs = left_columns
+    m, nb = b.alphabet_size, b.state_count
+    n = len(l_outs[0]) * nb
+    trans, outs = [[0] * n for _ in range(m)], [[0] * n for _ in range(m)]
+    for x, q2 in itertools.product(range(m), range(nb)):
+        y, t = b.outputs[q2][x], b.transitions[q2][x]
+        trans[x][q2::nb] = [t1 * nb + t for t1 in l_trans[y]]
+        outs[x][q2::nb] = l_outs[y]
+    return trans, outs
 
 
 def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
@@ -188,31 +192,26 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
     return [ids[b] for b in block], reps
 
 
-def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_CAP) -> list[int]:
+def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
     """State counts of the minimized powers a^1 .. a^N.
 
     Computed incrementally: minimize(a^n) = minimize(minimize(a^(n-1)) x a),
     valid because minimization preserves the induced transformation set.
     The minimal power is kept as per-letter columns, starting from the
-    one-state identity (whose product with a is a); each product's columns
-    are built, range-checked and refined directly, with no automaton or
-    label per power.  The state cap is checked before each product.
+    one-state identity (whose product with a is a); each ``_product`` is
+    range-checked and refined directly, with no automaton or label per
+    power.  ``MAX_STATES`` is checked before each product.
     """
     if N < 1:
         raise ValueError("growth requires N >= 1")
-    m, na = a.alphabet_size, a.state_count
-    a_trans, a_outs = list(zip(*a.transitions)), list(zip(*a.outputs))
-    cur_trans, cur_outs = [[0]] * m, [[x] for x in range(m)]
+    m = a.alphabet_size
+    cur = [[0]] * m, [[x] for x in range(m)]
     counts = []
     for _ in range(N):
-        n = len(cur_outs[0]) * na
-        if n > max_states:
-            raise CapacityError(f"minimization of {n} states exceeds cap {max_states}")
-        trans, outs = [[0] * n for _ in range(m)], [[0] * n for _ in range(m)]
-        for x, q2 in itertools.product(range(m), range(na)):  # (q1, q2) is q1 * na + q2
-            y, t = a_outs[x][q2], a_trans[x][q2]
-            trans[x][q2::na] = [t1 * na + t for t1 in cur_trans[y]]
-            outs[x][q2::na] = cur_outs[y]
+        n = len(cur[1][0]) * a.state_count
+        if n > MAX_STATES:
+            raise CapacityError(f"minimization of {n} states exceeds cap {MAX_STATES}")
+        trans, outs = _product(cur, a)
         if not all(0 <= min(c) <= max(c) < n for c in trans) or not all(
                 0 <= min(c) <= max(c) < m for c in outs):
             raise ValueError("product table entry out of range")
@@ -220,8 +219,7 @@ def automaton_growth(a: MealyAutomaton, N: int, max_states: int = DEFAULT_STATE_
         for c in outs[1:]:
             keys = [k * m + o for k, o in zip(keys, c)]
         block, reps = _refine(trans, keys)
-        cur_trans = [[block[c[q]] for q in reps] for c in trans]
-        cur_outs = [[c[q] for q in reps] for c in outs]
+        cur = [[block[c[q]] for q in reps] for c in trans], [[c[q] for q in reps] for c in outs]
         counts.append(len(reps))
     return counts
 

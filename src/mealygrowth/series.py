@@ -26,9 +26,12 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
-from .errors import VerificationError
+from .errors import CapacityError, VerificationError
 
 PI = math.pi
+#: largest N for q(0..N): the Durfee sum is O(N^1.5) in time, and it and its
+#: check hold several lists of N+1 big ints
+MAX_N = 10**6
 #: exponent coefficient shared by all three growth asymptotics: exp(b sqrt(n))
 BETA = PI / math.sqrt(6)
 
@@ -96,6 +99,8 @@ def odd_distinct_partitions(N: int) -> list[int]:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
+    if N > MAX_N:
+        raise CapacityError(f"series order N={N} exceeds cap {MAX_N}")
     q = _durfee_sum(N)
     lhs = multiply_sparse(q, _euler_terms(N))
     theta = [0] * (N + 1)

@@ -162,10 +162,7 @@ def _check_level(k: int):
 
 def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
     """Level-k restriction of the transformation induced by state q."""
-    if not 0 <= q < a.state_count:
-        raise ValueError(f"state {q} out of range")
-    _check_level(k)
-    return TransformTable(k, a.alphabet_size, _STORE.states(a, k)[q])
+    return word_table(a, (q,), k)  # hash-consing makes identity o f_q the node of f_q
 
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
@@ -214,23 +211,20 @@ class GrowthLayers:
         return self.cumulative[-1]
 
 
-def enumerate_monoid(
-    a: MealyAutomaton,
-    level: int,
-    max_depth: int | None = None,
-    max_elements: int = MAX_ELEMENTS,
-    spheres: bool = True,
-) -> GrowthLayers:
+def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None,
+                     spheres: bool = True) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
     The generators and elements are interned nodes of a store local to this
     call, so equality is exact.  When ``spheres`` is set, an element is
     expanded again when first reached at the other length parity;
-    ``sphere_sizes`` is as described in ``GrowthLayers``.
+    ``sphere_sizes`` is as described in ``GrowthLayers``.  Recording more
+    than ``MAX_ELEMENTS`` elements raises ``CapacityError``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     _check_level(level)
+    cap = MAX_ELEMENTS
     store = _Store()
     gen_factors = [store.factor(g) for g in store.states(a, level)]
     ident = store.identity(a.alphabet_size, level)
@@ -249,8 +243,8 @@ def enumerate_monoid(
                 prod = build(h, r)
                 bits = seen.get(prod)
                 if bits is None:
-                    if len(seen) >= max_elements:
-                        raise CapacityError(f"element count exceeded cap {max_elements}")
+                    if len(seen) >= cap:
+                        raise CapacityError(f"element count exceeded cap {cap}")
                     seen[prod] = bit
                 elif spheres and not bits & bit:
                     seen[prod] = bits | bit
@@ -274,28 +268,28 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
     A product of n generators has normal-form exponents below n/2, and
     level k separates quotient normal forms with exponents under k-1, so
     floor(nmax/2)+2 suffices for every n <= nmax.  The BFS never reads the
-    series; each row is then compared with (gamma(n), gamma_S(n)), and
-    ``VerificationError`` names the first radius where they differ.  A
-    level too shallow merges elements, so its counts fall below the true
-    ones, and the comparison catches that.  The level
-    rule comes from I2's normal forms, and the BFS spheres are exact-length
-    counts because I2's f0 is an involution, so ``a`` must have I2's
-    transitions and outputs, hence its alphabet; its labels are ignored.
+    series; each row and the depth's new elements are then compared with
+    (gamma(n), gamma_S(n), delta(n)), and ``VerificationError`` names the
+    first radius where they differ.  A level too shallow merges elements,
+    so its counts fall below the true ones, and the comparison catches
+    that.  The level rule comes from I2's normal forms, and the BFS spheres
+    are exact-length counts because I2's f0 is an involution, so ``a`` must
+    have I2's transitions and outputs; its labels are ignored.
     """
     if (a.transitions, a.outputs) != (I2.transitions, I2.outputs):
         raise ValueError("the stabilization oracle holds only for I2")
     if nmax < 1:
         raise ValueError("radius must be >= 1")
-    _, _, gamma, ball = series.growth_series(nmax)
+    _, delta, gamma, ball = series.growth_series(nmax)
     if ball[nmax] > MAX_ELEMENTS:  # the BFS would store that many elements
         raise CapacityError(f"element count {ball[nmax]} exceeds cap {MAX_ELEMENTS}")
     # I2 has new elements at every radius, so the run reaches depth nmax
     layers = enumerate_monoid(a, nmax // 2 + 2, max_depth=nmax)
-    table = list(zip(layers.sphere_sizes, layers.cumulative))
-    for n, (row, want) in enumerate(zip_longest(table, zip(gamma, ball))):
+    rows = zip(layers.sphere_sizes, layers.cumulative, layers.layer_sizes)
+    for n, (row, want) in enumerate(zip_longest(rows, zip(gamma, ball, delta))):
         if row != want:
             raise VerificationError(f"BFS growth counts disagree with the series at radius {n}")
-    return table
+    return list(zip(layers.sphere_sizes, layers.cumulative))
 
 
 def spherical_growth_oracle(a: MealyAutomaton, n: int) -> int:

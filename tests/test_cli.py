@@ -328,6 +328,9 @@ class TestVerify:
     ["verify", "oracle", "--nmax", "200"],  # level 102 is within the level bound
     ["quotient", "--n", "40"],
     ["verify", "relations", "--level", str(tables.MAX_LEVEL + 1)],
+    ["growth", "--N", str(series.MAX_N + 1)],
+    ["verify", "series", "--N", str(series.MAX_N + 1)],
+    ["verify", "oracle", "--nmax", str(series.MAX_N + 1)],
 ])
 def test_oversized_requests_fail_fast(argv):
     # the caps are checked before any BFS; one that started would end in a
@@ -387,6 +390,8 @@ def test_bad_requests_fail_before_output(capsys, tmp_path, argv):
     ["verify", "series", "--nmax", "3"],
     ["automaton", "{aut}", "invertible", "--N", "4"],
     ["automaton", "{aut}", "minimize", "--with", "{aut}"],
+    ["quotient", "--n", "3", "--max-elements", "50"],  # the caps have no flags
+    ["automaton", "{aut}", "growth", "--max-states", "5"],
 ])
 def test_flags_of_another_suite_or_action_are_rejected(capsys, tmp_path, argv):
     aut = tmp_path / "i2.aut"

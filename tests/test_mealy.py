@@ -129,9 +129,11 @@ class TestInvertibility:
 
 
 class TestProduct:
-    @given(automata(3), automata(3), words)
+    @given(automata(3), st.booleans(), automata(3), words)
     @settings(max_examples=150)
-    def test_state_pair_acts_as_composition(self, a, b, w):
+    def test_state_pair_acts_as_composition(self, a, cube, b, w):
+        # a left factor of up to 27 states, as automaton_growth's minimal powers are
+        a = power(a, 3) if cube else a
         ab = product(a, b)
         for q1 in range(a.state_count):
             for q2 in range(b.state_count):
@@ -193,14 +195,17 @@ class TestGrowth:
             return real_refine(cols, keys)
 
         monkeypatch.setattr(mealy, "_refine", recording_refine)
+        monkeypatch.setattr(mealy, "MAX_STATES", 5)
         with pytest.raises(CapacityError, match="minimization of 8 states exceeds cap 5"):
-            automaton_growth(I2, 10, max_states=5)
+            automaton_growth(I2, 10)
         assert refined == [2, 4]  # the cap stops the 8-state product before it is built
 
-    def test_cap_covers_the_first_power(self):
+    def test_cap_covers_the_first_power(self, monkeypatch):
+        monkeypatch.setattr(mealy, "MAX_STATES", 1)
         with pytest.raises(CapacityError, match="^minimization of 2 states exceeds cap 1$"):
-            automaton_growth(I2, 1, max_states=1)
-        assert automaton_growth(I2, 1, max_states=2) == [2]
+            automaton_growth(I2, 1)
+        monkeypatch.setattr(mealy, "MAX_STATES", 2)
+        assert automaton_growth(I2, 1) == [2]
 
     @given(st.integers(1, 3).flatmap(lambda m: automata(4, m)), st.integers(1, 5))
     @settings(max_examples=200, deadline=None)

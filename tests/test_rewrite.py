@@ -1,5 +1,6 @@
 """Tests for the rewriting system and normal forms of the I2 monoid."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -216,6 +217,16 @@ class TestQuotient:
     def test_matches_level_tables(self, w, n):
         nf = reduce_quotient(w, n)
         assert word_table(I2, w, n) == word_table(I2, nf_to_word(nf), n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equal_tables_give_equal_normal_forms(self, n):
+        # the converse of test_matches_level_tables, on every word of <= 10 letters
+        classes = {}
+        for length in range(11):
+            for w in itertools.product((0, 1), repeat=length):
+                classes.setdefault(word_table(I2, w, n), set()).add(reduce_quotient(w, n))
+        assert all(len(nfs) == 1 for nfs in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)  # and the other way
 
     def test_left_zero_absorbs(self):
         z = left_zero_word(3)

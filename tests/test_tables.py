@@ -185,9 +185,10 @@ class TestEnumeration:
         assert all(s <= b for s, b in zip(layers.sphere_sizes, layers.cumulative))
         assert layers.sphere_sizes[0] == 1
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(tables, "MAX_ELEMENTS", 50)
         with pytest.raises(CapacityError):
-            enumerate_monoid(I2, 6, spheres=False, max_elements=50)
+            enumerate_monoid(I2, 6, spheres=False)
 
     def test_element_cap_stops_within_a_layer(self, monkeypatch):
         # the cap is checked as each element is recorded, not after a layer
@@ -210,8 +211,9 @@ class TestEnumeration:
             enumerate_monoid(I2, 8, max_depth=depth, spheres=False)
             counts.append(calls)
         calls = 0
+        monkeypatch.setattr(tables, "MAX_ELEMENTS", cap)
         with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
-            enumerate_monoid(I2, 8, spheres=False, max_elements=cap)
+            enumerate_monoid(I2, 8, spheres=False)
         # each BFS has a fresh store, so the layers before d repeat exactly
         before, through = counts
         assert before < calls < before + (through - before) // 4
@@ -277,6 +279,19 @@ class TestStabilizedOracle:
 
         monkeypatch.setattr(tables, "enumerate_monoid", shifted)
         with pytest.raises(VerificationError, match=rf"at radius {bad}$"):
+            stabilized_growth_table(I2, 12)
+
+    def test_word_growth_mismatch_names_its_radius(self, monkeypatch):
+        # new elements per depth are delta(n) at the stabilization level
+        enumerate_real = tables.enumerate_monoid
+
+        def shifted(a, level, **kwargs):
+            layers = enumerate_real(a, level, **kwargs)
+            layers.layer_sizes[7] += 1
+            return layers
+
+        monkeypatch.setattr(tables, "enumerate_monoid", shifted)
+        with pytest.raises(VerificationError, match=r"at radius 7$"):
             stabilized_growth_table(I2, 12)
 
     def test_one_bfs_at_the_stabilization_level(self, monkeypatch):
