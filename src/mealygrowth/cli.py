@@ -12,14 +12,11 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add
 
 from . import mealy, rewrite, series, tables
 from .errors import AutomatonFormatError, CapacityError, VerificationError
-
-
-_CHUNK_ROWS = 4096  # lines formatted per write
 
 
 def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
@@ -28,9 +25,9 @@ def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
     Every line fills one template built from the keys, so an int prints in
     full decimal and a float as its repr, as ``json.dumps`` would print them;
     any other cell must already be its text for ``fmt`` (see ``_text``).
-    Lines go to stdout a chunk at a time, so ``rows`` can be a generator and
-    no more than one chunk of lines is held.  CSV writes its header with the
-    first row, and nothing when there is no row.
+    Each line goes to stdout as it is formatted, so ``rows`` can be a
+    generator and one line is held.  CSV writes its header with the first
+    row, and nothing when there is no row.
     """
     if fmt == "json":
         line = "{" + ", ".join(f'"{k}": %s' for k in keys) + "}\n"
@@ -38,9 +35,8 @@ def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
     else:
         line = ",".join(["%s"] * len(keys)) + "\n"
         head = ",".join(keys) + "\n"
-    rows = iter(rows)
-    while chunk := [line % row for row in islice(rows, _CHUNK_ROWS)]:
-        sys.stdout.write(head + "".join(chunk))
+    for row in rows:
+        sys.stdout.write(head + line % row)
         head = ""
 
 
@@ -72,15 +68,14 @@ def _growth_rows(delta, gamma, ball, q, blank):
 
 
 def cmd_growth(args) -> int:
+    keys, oracle = _GROWTH_KEYS, None
+    if args.oracle and args.N >= 1:  # first: an oversized request fails before any series
+        keys += ("oracle_gamma", "oracle_ball")
+        oracle = tables.stabilized_growth_table(mealy.I2, args.N)[1:]
     q, delta, gamma, ball = series.growth_series(args.N)
     rows = _growth_rows(delta, gamma, ball, q, _text("", args.format))
-    keys = _GROWTH_KEYS
-    if args.oracle:
-        keys += ("oracle_gamma", "oracle_ball")
-        if args.N >= 1:
-            rows = map(add, rows, tables.stabilized_growth_table(mealy.I2, args.N)[1:])
     # every series and the oracle are computed and checked: only formatting is left
-    _emit_rows(keys, rows, args.format)
+    _emit_rows(keys, map(add, rows, oracle) if oracle else rows, args.format)
     return 0
 
 
@@ -136,6 +131,8 @@ def _suite_relations(args):
             raise ValueError(f"--{flag} must be non-negative")
     if args.level < 1:  # every level-0 table is the empty map
         raise ValueError("--level must be at least 1")
+    # before the first line; the left-zero check at n also builds level n+1
+    tables.check_level(max(args.level, args.nmax + 1))
     for p in range(args.pmax + 1):
         yield f"relation r_{p} at level {args.level}", rewrite.verify_relation(p, args.level)
     for n in range(1, args.nmax + 1):

@@ -108,6 +108,8 @@ def _product(left_columns, b: MealyAutomaton):
     l_trans, l_outs = left_columns
     m, nb = b.alphabet_size, b.state_count
     n = len(l_outs[0]) * nb
+    if n > MAX_STATES:  # every product is built here: refuse before allocating
+        raise CapacityError(f"product of {n} states exceeds cap {MAX_STATES}")
     trans, outs = [[0] * n for _ in range(m)], [[0] * n for _ in range(m)]
     for x, q2 in itertools.product(range(m), range(nb)):
         y, t = b.outputs[q2][x], b.transitions[q2][x]
@@ -200,7 +202,7 @@ def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
     The minimal power is kept as per-letter columns, starting from the
     one-state identity (whose product with a is a); each ``_product`` is
     range-checked and refined directly, with no automaton or label per
-    power.  ``MAX_STATES`` is checked before each product.
+    power.
     """
     if N < 1:
         raise ValueError("growth requires N >= 1")
@@ -208,10 +210,8 @@ def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
     cur = [[0]] * m, [[x] for x in range(m)]
     counts = []
     for _ in range(N):
-        n = len(cur[1][0]) * a.state_count
-        if n > MAX_STATES:
-            raise CapacityError(f"minimization of {n} states exceeds cap {MAX_STATES}")
         trans, outs = _product(cur, a)
+        n = len(outs[0])
         if not all(0 <= min(c) <= max(c) < n for c in trans) or not all(
                 0 <= min(c) <= max(c) < m for c in outs):
             raise ValueError("product table entry out of range")

@@ -153,7 +153,8 @@ def unpack_word(value: int, k: int, m: int = 2) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _check_level(k: int):
+def check_level(k: int):
+    """Refuse a level the recursive node store cannot build (``MAX_LEVEL``)."""
     if k < 0:
         raise ValueError("level must be non-negative")
     if k > MAX_LEVEL:
@@ -166,7 +167,7 @@ def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
 
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
-    _check_level(k)
+    check_level(k)
     return TransformTable(k, m, _STORE.identity(m, k))
 
 
@@ -223,7 +224,7 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    _check_level(level)
+    check_level(level)
     cap = MAX_ELEMENTS
     store = _Store()
     gen_factors = [store.factor(g) for g in store.states(a, level)]
@@ -280,6 +281,7 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
         raise ValueError("the stabilization oracle holds only for I2")
     if nmax < 1:
         raise ValueError("radius must be >= 1")
+    check_level(nmax // 2 + 2)  # before the series, which grows with nmax
     _, delta, gamma, ball = series.growth_series(nmax)
     if ball[nmax] > MAX_ELEMENTS:  # the BFS would store that many elements
         raise CapacityError(f"element count {ball[nmax]} exceeds cap {MAX_ELEMENTS}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mealygrowth
-from mealygrowth import I2, format_automaton, rewrite, series, tables
+from mealygrowth import I2, MealyAutomaton, format_automaton, rewrite, series, tables
 from mealygrowth.cli import main
 
 
@@ -39,6 +39,19 @@ class TestGrowth:
         row = json.loads(out.strip())
         assert row["n"] == 1
         assert row["gamma_ball"] == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_no_rows_print_nothing(self, capsys, fmt, oracle):
+        # the CSV header goes out with the first row, so no row means no header
+        assert run(capsys, "growth", "--N", "0", "--format", fmt, *oracle) == (0, "", "")
+
+    def test_csv_header_goes_with_the_first_row(self, capsys):
+        code, out, _ = run(capsys, "growth", "--N", "1")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "n,delta,gamma,gamma_ball,q,delta_ratio,gamma_ratio,ball_ratio"
+        assert row.startswith("1,2,2,3,1,")
 
     def test_growth_oracle_agrees(self, capsys):
         code, out, _ = run(capsys, "growth", "--N", "30", "--oracle", "--format", "json")
@@ -331,17 +344,30 @@ class TestVerify:
     ["growth", "--N", str(series.MAX_N + 1)],
     ["verify", "series", "--N", str(series.MAX_N + 1)],
     ["verify", "oracle", "--nmax", str(series.MAX_N + 1)],
+    # the oracle's level bound is checked before the series to N is computed
+    ["growth", "--N", "300000", "--oracle"],
+    ["verify", "oracle", "--nmax", str(series.MAX_N)],
+    # the left-zero check at level n also builds level n + 1
+    ["verify", "relations", "--pmax", "0", "--nmax", str(tables.MAX_LEVEL)],
+    # 1,210,000 product states
+    ["automaton", "{big}", "product", "--with", "{big}"],
 ])
-def test_oversized_requests_fail_fast(argv):
-    # the caps are checked before any BFS; one that started would end in a
-    # MemoryError under the 1 GiB address space, or in the timeout
+def test_oversized_requests_fail_fast(tmp_path, argv):
+    # the caps are checked before any BFS, series or product; one that
+    # started would end in a MemoryError under the 1 GiB address space, or
+    # in the timeout
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    n = 1100
+    big = tmp_path / "big.aut"
+    big.write_text(format_automaton(MealyAutomaton(
+        2, tuple(((q + 1) % n, 2 * q % n) for q in range(n)),
+        tuple((q % 2, q // 3 % 2) for q in range(n)))))
     src = Path(mealygrowth.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "mealygrowth.cli", *argv],
+        [sys.executable, "-m", "mealygrowth.cli", *(arg.format(big=big) for arg in argv)],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=cap_address_space,
     )

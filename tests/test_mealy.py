@@ -151,6 +151,17 @@ class TestProduct:
     def test_square_state_count(self):
         assert power(I2, 2).state_count == 4
 
+    def test_cap_bounds_the_product(self, monkeypatch):
+        monkeypatch.setattr(mealy, "MAX_STATES", 3)
+        with pytest.raises(CapacityError, match="^product of 4 states exceeds cap 3$"):
+            product(I2, I2)
+
+    def test_cap_bounds_each_power(self, monkeypatch):
+        monkeypatch.setattr(mealy, "MAX_STATES", 4)
+        assert power(I2, 2).state_count == 4
+        with pytest.raises(CapacityError, match="^product of 8 states exceeds cap 4$"):
+            power(I2, 3)
+
 
 class TestMinimize:
     def test_i2_is_already_minimal(self):
@@ -196,13 +207,13 @@ class TestGrowth:
 
         monkeypatch.setattr(mealy, "_refine", recording_refine)
         monkeypatch.setattr(mealy, "MAX_STATES", 5)
-        with pytest.raises(CapacityError, match="minimization of 8 states exceeds cap 5"):
+        with pytest.raises(CapacityError, match="^product of 8 states exceeds cap 5$"):
             automaton_growth(I2, 10)
         assert refined == [2, 4]  # the cap stops the 8-state product before it is built
 
     def test_cap_covers_the_first_power(self, monkeypatch):
         monkeypatch.setattr(mealy, "MAX_STATES", 1)
-        with pytest.raises(CapacityError, match="^minimization of 2 states exceeds cap 1$"):
+        with pytest.raises(CapacityError, match="^product of 2 states exceeds cap 1$"):
             automaton_growth(I2, 1)
         monkeypatch.setattr(mealy, "MAX_STATES", 2)
         assert automaton_growth(I2, 1) == [2]
