@@ -5,10 +5,10 @@ flat tuple, the m images of the first letter, then the ids of the m
 section nodes one level down; state q of an automaton has the images
 ``outputs[q]`` and the sections ``transitions[q]``.  Nodes are
 hash-consed, so equal elements of one level have one id, and the product
-is one recursion per level, memoized per right factor:
-(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w), except for a BFS's own products,
-each formed at most once per parity.  A BFS interns into a store of its
-own; all other tables share one module store.
+is one recursion per level over the right factor's layout, precomputed
+once, and memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w),
+except for a BFS's own products, each formed at most once per parity.
+A BFS interns into a store of its own; all other tables share one store.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import itemgetter
 
 from . import series
 from .errors import CapacityError, VerificationError
@@ -30,16 +31,17 @@ MAX_LEVEL = sys.getrecursionlimit() // 4
 
 class _Store:
     """Interned wreath nodes: id -> images + sections, flat; the tuple is
-    also the node's key in ``ids``.  Id 0 is the level-0 element, (), where
-    recursions over one level stop.  Right factor r: factors[r] = (images,
-    section factors), products[r] = {h: h o g}.  ``build`` forms h o g with
-    no memo at its own level; ``compose`` is ``build`` behind the memo."""
+    also the node's key in ``ids``.  Id 0 is the level-0 node ().  Right
+    factor r of g: products[r] = {h: h o g}, and factors[r] = (gather, pairs)
+    with gather(h's tuple) = (h(g(x)) for each letter x), pairs = ((index of
+    h|g(x) in h's tuple, factor of g|x) for each x).  ``build`` forms h o g
+    with no memo at its own level; ``compose`` is ``build`` behind the memo."""
 
     def __init__(self):
         self.nodes: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.factor_ids: dict[int, int] = {}
-        self.factors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.factors: list[tuple[itemgetter, tuple[tuple[int, int], ...]]] = []
         self.products: list[dict[int, int]] = []
         self.intern(())
 
@@ -55,18 +57,20 @@ class _Store:
         if g not in self.factor_ids:
             node = self.nodes[g]
             m = len(node) // 2
-            self.factors.append((node[:m], tuple(map(self.factor, node[m:]))))
+            images, factors = node[:m], map(self.factor, node[m:])
+            # images = range(m) if m < 2: itemgetter() raises, itemgetter(0) returns no tuple
+            gather = itemgetter(*images) if m > 1 else itemgetter(slice(m))
+            self.factors.append((gather, tuple(zip([m + y for y in images], factors))))
             self.factor_ids[g] = len(self.products)
             self.products.append({})
         return self.factor_ids[g]
 
     def build(self, h: int, r: int) -> int:
         """h o g for two nodes of the same level, where r = factor(g): apply g first."""
-        (g_images, g_factors), h_node = self.factors[r], self.nodes[h]
-        m = len(g_images)
-        key = [h_node[y] for y in g_images]
-        for y, s in zip(g_images, g_factors):
-            hs, memo = h_node[m + y], self.products[s]
+        (gather, pairs), h_node = self.factors[r], self.nodes[h]
+        key = [*gather(h_node)]
+        for i, s in pairs:
+            hs, memo = h_node[i], self.products[s]
             p = memo.get(hs)
             if p is None:  # a memo hit makes no call
                 p = memo[hs] = self.build(hs, s)
@@ -168,6 +172,8 @@ def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
 
 def identity_table(k: int, m: int = 2) -> TransformTable:
     check_level(k)
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
     return TransformTable(k, m, _STORE.identity(m, k))
 
 

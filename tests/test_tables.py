@@ -38,8 +38,8 @@ words = st.lists(st.integers(0, 1), max_size=10).map(tuple)
 
 @st.composite
 def automata(draw):
-    """Random 1-3-state automata over 2 or 3 letters."""
-    m = draw(st.sampled_from((2, 3)))
+    """Random 1-3-state automata over 1, 2 or 3 letters."""
+    m = draw(st.sampled_from((1, 2, 3)))
     n = draw(st.integers(1, 3))
     rows = st.tuples(*[st.integers(0, n - 1)] * m)
     letters = st.tuples(*[st.integers(0, m - 1)] * m)
@@ -128,7 +128,7 @@ class TestCompose:
     @given(st.data())
     @settings(deadline=None)
     def test_interleaved_calls_match_reference(self, data):
-        # word tables and products over 2 and 3 letters share the module store
+        # word tables and products over 1, 2 and 3 letters share the module store
         pool = []
         for _ in range(data.draw(st.integers(1, 8))):
             a, k, (w,) = data.draw(automaton_words(1))
@@ -157,6 +157,12 @@ class TestCompose:
         t = table_of(I2, 1, 6)
         e = identity_table(6)
         assert compose(t, e) == t == compose(e, t)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_identity_needs_a_letter(self, m):
+        # it once returned the level-0 node labelled with the level asked for
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            identity_table(3, m)
 
     @given(words)
     def test_word_table_is_fold_of_compose(self, w):
@@ -217,6 +223,27 @@ class TestEnumeration:
         # each BFS has a fresh store, so the layers before d repeat exactly
         before, through = counts
         assert before < calls < before + (through - before) // 4
+
+    def test_products_formed_at_level_11(self, monkeypatch):
+        # a faster kernel must not form fewer products: one top-level product
+        # per element and generator, and the memoized section products below
+        calls = top = depth = 0
+        build = tables._Store.build
+
+        def counting_build(self, h, r):
+            nonlocal calls, top, depth
+            calls += 1
+            top += depth == 0
+            depth += 1
+            try:
+                return build(self, h, r)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(tables._Store, "build", counting_build)
+        layers = enumerate_monoid(I2, 11, spheres=False)
+        assert layers.element_count == 43_010
+        assert (calls, top) == (155_705, 2 * 43_010)
 
     @given(automaton_words(0), st.integers(0, 6), st.booleans())
     @settings(deadline=None)
