@@ -3,13 +3,18 @@
 Series are truncated power series held as plain lists of Python ints, so
 all coefficient arithmetic is exact.  The three growth series of the I2
 monoid are driven by q(n), the number of partitions of n into distinct
-odd parts, computed by the Durfee-square sum and confirmed by the
-eta-quotient identity Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2, both O(N^1.5).
+odd parts, computed by the Durfee-square sum in O(N^1.5) and confirmed by
+the eta-quotient identity Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.
 The Durfee sum is evaluated nested, innermost term first; the part that
 enters q times X^(m^2) is held only through X^(N-m^2), so each m costs
 one running-sum pass over N+1-m^2 entries.  The identity is checked
 one-sided as Q(X) (X;X) = sum (-1)^n X^(2n^2): by Gauss's identity that
 theta series is (X^2;X^2)^2 / (X^4;X^4), and it has about sqrt(N/2) terms.
+The check is a random fingerprint: both sides are evaluated at a random
+point modulo random primes in one O(N) pass.  It is probabilistic: it
+misses a wrong q with probability below 1e-24, where the exact O(N^1.5)
+product it replaces could not miss.  Only when the fingerprint fails does
+the exact product run, once, to name the first wrong q(n).
 Each growth series is derived once from q, and every coefficient is
 confirmed against a closed partition formula; a disagreement raises
 ``VerificationError``.  ``growth_series`` does all of this in one call and
@@ -22,15 +27,17 @@ are ``AsymptoteSpec``s, compared with exact counts through ``log_evaluate``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .errors import CapacityError, VerificationError
 
 PI = math.pi
-#: largest N for q(0..N): the Durfee sum is O(N^1.5) in time, and it and its
-#: check hold several lists of N+1 big ints
+#: largest N for q(0..N): the Durfee sum is O(N^1.5) in time and holds a few
+#: lists of N+1 big ints; its fingerprint check is O(N) and holds one slice of q
 MAX_N = 10**6
 #: exponent coefficient shared by all three growth asymptotics: exp(b sqrt(n))
 BETA = PI / math.sqrt(6)
@@ -63,7 +70,8 @@ def divide_one_minus_xk(c: list[int], k: int) -> list[int]:
 def _euler_terms(N: int) -> list[tuple[int, int]]:
     """(X;X)_inf through X^N by the pentagonal number theorem."""
     ks = range(1, math.isqrt(N) + 1)  # k^2 <= k(3k-1)/2 <= N
-    return [(0, 1)] + [(k * (3 * k + s) // 2, (-1) ** k) for k in ks for s in (-1, 1)]
+    terms = ((k * (3 * k + s) // 2, (-1) ** k) for k in ks for s in (-1, 1))
+    return [(0, 1)] + [(e, a) for e, a in terms if e <= N]
 
 
 def _theta_terms(N: int) -> list[tuple[int, int]]:
@@ -88,27 +96,111 @@ def _durfee_sum(N: int) -> list[int]:
     return t
 
 
+#: the fingerprints' randomness; SystemRandom takes no seed, so a fault in q
+#: cannot be tuned to it
+_RANDOM = random.SystemRandom()
+
+# Miller-Rabin with these bases decides primality for every n < 3.1e23
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.1e23."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _fingerprint_modulus() -> int:
+    """p1 p2 for two different uniform random primes in [2^60, 2^61), drawn once per process."""
+    primes = []
+    while len(primes) < 2:
+        p = _RANDOM.getrandbits(60) | 1 << 60
+        if _is_prime(p) and p not in primes:
+            primes.append(p)
+    return primes[0] * primes[1]
+
+
+def _identity_residue(q: list[int], m: int, r: int) -> int:
+    """D(r) mod m, where D = Q(X) (X;X) - theta through X^N and Q = sum q(n) X^n.
+
+    Through X^N, Q(X) (X;X) at r is sum_j e_j r^k_j S(N - k_j) over the
+    pentagonal terms e_j X^k_j, where S(t) = sum_{n<=t} q(n) r^n.  One
+    Horner pass over q, cut at each N - k_j, gives every S(N - k_j).
+    """
+    N = len(q) - 1
+    euler = _euler_terms(N)
+    partial, s, lo = {}, 0, 0
+    for t in sorted({N - k for k, _ in euler}):
+        h = 0
+        for c in reversed(q[lo:t + 1]):
+            h = (h * r + c) % m
+        s = (s + h * pow(r, lo, m)) % m
+        partial[t], lo = s, t + 1
+    lhs = sum(e * pow(r, k, m) * partial[N - k] for k, e in euler)
+    return (lhs - sum(a * pow(r, k, m) for k, a in _theta_terms(N))) % m
+
+
+def _check_identity(q: list[int]) -> None:
+    """Raise at the first n where Q(X) (X;X) = theta fails: the exact O(N^1.5) check."""
+    N = len(q) - 1
+    lhs = multiply_sparse(q, _euler_terms(N))
+    theta = [0] * (N + 1)
+    for e, a in _theta_terms(N):
+        theta[e] = a
+    for n, (x, y) in enumerate(zip(lhs, theta)):
+        if x != y:
+            raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
+
+
 def odd_distinct_partitions(N: int) -> list[int]:
     """q(0..N): partitions into distinct odd parts, via the Durfee-square sum.
 
     The sum is confirmed by Q(X) (X;X)(X^4;X^4) = (X^2;X^2)^2.  By Gauss's
     identity (X^2;X^2)^2 / (X^4;X^4) is the sparse theta series
-    sum (-1)^n X^(2n^2), so the check is Q(X) (X;X) = theta.  (X;X) has
-    constant term 1, so the identity through X^N fixes q(0..N), and the
-    first coefficient where it fails is the first wrong q(n).
+    sum (-1)^n X^(2n^2), so the check is that D = Q(X) (X;X) - theta has
+    no nonzero coefficient d_n through X^N.  (X;X) has constant term 1, so
+    this fixes q(0..N), and the first nonzero d_n is at the first wrong q(n).
+
+    D is checked by two fingerprints, each D(r) mod p for a uniform random
+    61-bit prime p and a uniform random r mod p, with p1 != p2.  Both are
+    computed in one O(N) pass modulo p1 p2 at one uniform r mod p1 p2,
+    which by the Chinese remainder theorem draws the two r independently.  If
+    some d_n is nonzero, one fingerprint misses it only if p divides every
+    such d_n, with probability below 0.71 b / 2^60 where b is the bit length
+    of one of them, or if r is one of the at most N roots of D mod p, with
+    probability below N / 2^60.  For N <= MAX_N and b <= 10^5 that is below
+    1e-12 per fingerprint, so the two miss a wrong q with probability below
+    1e-24: a check that could not err is replaced by one that errs that
+    rarely.  The primes are drawn once per process and r on every call, so
+    the bound holds on every call for any fault that does not depend on the
+    primes.  When a fingerprint fails, the exact identity runs once and
+    raises ``VerificationError`` naming the first wrong n.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
     if N > MAX_N:
         raise CapacityError(f"series order N={N} exceeds cap {MAX_N}")
     q = _durfee_sum(N)
-    lhs = multiply_sparse(q, _euler_terms(N))
-    theta = [0] * (N + 1)
-    for e, a in _theta_terms(N):
-        theta[e] = a
-    if lhs != theta:
-        n = next(n for n, (x, y) in enumerate(zip(lhs, theta)) if x != y)
-        raise VerificationError(f"q: Durfee sum fails the eta-quotient identity at n={n}")
+    m = _fingerprint_modulus()
+    if _identity_residue(q, m, _RANDOM.randrange(m)):
+        _check_identity(q)
     return q
 
 

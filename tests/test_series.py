@@ -1,6 +1,7 @@
 """Tests for the generating series and asymptotic main terms."""
 
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -51,6 +52,23 @@ class TestToolkit:
             for j, b in terms:
                 full[i + j] += b * x
         assert multiply_sparse(c, terms) == full[: len(c)]
+
+    def test_euler_terms_stop_at_N(self):
+        for N in range(501):
+            pentagonal = {k * (3 * k - 1) // 2 for k in range(-N, N + 1)}
+            exponents = [e for e, _ in series._euler_terms(N)]
+            assert max(exponents) <= N
+            assert sorted(exponents) == sorted(g for g in pentagonal if g <= N)
+
+    def test_is_prime_matches_a_sieve(self):
+        sieve = [False, False] + [True] * 9999
+        for i in range(2, 101):
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [series._is_prime(n) for n in range(10001)] == sieve
+        # 2^61 - 1 is prime; the others are strong pseudoprimes to bases 2..7 and 2..23
+        assert [series._is_prime(n) for n in (2**61 - 1, 3215031751, 3825123056546413051)] == [
+            True, False, False,
+        ]
 
     @pytest.mark.parametrize("fn,args", [
         (multiply_sparse, ([1, 2, 3], [(-1, 1)])),
@@ -105,6 +123,38 @@ class TestPartitions:
         with mock.patch.object(series, "_durfee_sum", corrupt):
             with pytest.raises(VerificationError, match=f"at n={n}$"):
                 odd_distinct_partitions(N)
+
+
+class TestFingerprint:
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def q(self):
+        return series._durfee_sum(self.N)
+
+    def test_single_coefficient_faults_fail_at_their_n(self, q, monkeypatch):
+        # off by one either way, off by the Mersenne prime 2^61 - 1, and doubled
+        faults = (lambda c: c + 1, lambda c: c - 1, lambda c: c + 2**61 - 1, lambda c: 2 * c)
+        rng = random.Random(0)
+        for _ in range(200):
+            n = rng.randrange(3, self.N + 1)  # q(2) = 0, the only zero, is kept by doubling
+            bad = list(q)
+            bad[n] = rng.choice(faults)(bad[n])
+            monkeypatch.setattr(series, "_durfee_sum", lambda N: bad)
+            with pytest.raises(VerificationError, match=f"at n={n}$"):
+                odd_distinct_partitions(self.N)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, N])
+    def test_exact_product_skipped_on_a_true_q(self, N):
+        with mock.patch.object(series, "multiply_sparse", wraps=multiply_sparse) as product:
+            assert odd_distinct_partitions(N) == series._durfee_sum(N)
+        product.assert_not_called()
+
+    def test_exact_identity_accepts_the_true_q(self):
+        # the check the fingerprint stands in for, kept as the reference
+        q = reference_odd_distinct_partitions(2000)
+        for N in (0, 1, 2, 3, 77, 512, 1999, 2000):
+            series._check_identity(q[: N + 1])
 
 
 class TestGrowthCoefficients:
