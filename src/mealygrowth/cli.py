@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import repeat
 from operator import add
 
@@ -208,6 +209,7 @@ def cmd_automaton(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
+@cache  # built once per process; each parse returns a new Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mealygrowth",

@@ -6,9 +6,9 @@ section nodes one level down; state q of an automaton has the images
 ``outputs[q]`` and the sections ``transitions[q]``.  Nodes are
 hash-consed, so equal elements of one level have one id, and the product
 is one recursion per level over the right factor's layout, precomputed
-once, and memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w),
-except for a BFS's own products, each formed at most once per parity.
-A BFS interns into a store of its own; all other tables share one store.
+once, and memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).
+A BFS has a store of its own and keeps its own products as flat tuples, none
+interned, each formed at most once per parity; all other tables share one store.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import CapacityError, VerificationError
 from .mealy import I2, MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
-# _Store.build and _Store.factor recurse once per level
+# _Store.key and _Store.factor recurse once per level
 MAX_LEVEL = sys.getrecursionlimit() // 4
 
 
@@ -34,8 +34,9 @@ class _Store:
     also the node's key in ``ids``.  Id 0 is the level-0 node ().  Right
     factor r of g: products[r] = {h: h o g}, and factors[r] = (gather, pairs)
     with gather(h's tuple) = (h(g(x)) for each letter x), pairs = ((index of
-    h|g(x) in h's tuple, factor of g|x) for each x).  ``build`` forms h o g
-    with no memo at its own level; ``compose`` is ``build`` behind the memo."""
+    h|g(x) in h's tuple, factor of g|x) for each x).  ``key`` forms h o g's
+    tuple; ``compose`` memoizes and interns it, but a BFS keeps its own
+    products as ``key`` tuples and interns none of them."""
 
     def __init__(self):
         self.nodes: list[tuple[int, ...]] = []
@@ -65,28 +66,23 @@ class _Store:
             self.products.append({})
         return self.factor_ids[g]
 
-    def build(self, h: int, r: int) -> int:
-        """h o g for two nodes of the same level, where r = factor(g): apply g first."""
-        (gather, pairs), h_node = self.factors[r], self.nodes[h]
+    def key(self, h_node: tuple[int, ...], r: int) -> tuple[int, ...]:
+        """Flat tuple of h o g, not interned, where r = factor(g): apply g first."""
+        gather, pairs = self.factors[r]
         key = [*gather(h_node)]
         for i, s in pairs:
             hs, memo = h_node[i], self.products[s]
             p = memo.get(hs)
             if p is None:  # a memo hit makes no call
-                p = memo[hs] = self.build(hs, s)
+                p = memo[hs] = self.intern(self.key(self.nodes[hs], s))
             key.append(p)
-        key = tuple(key)
-        node = self.ids.get(key)
-        if node is None:
-            node = self.ids[key] = len(self.nodes)
-            self.nodes.append(key)
-        return node
+        return tuple(key)
 
     def compose(self, h: int, r: int) -> int:
         memo = self.products[r]
         node = memo.get(h)
         if node is None:
-            node = memo[h] = self.build(h, r)
+            node = memo[h] = self.intern(self.key(self.nodes[h], r))
         return node
 
     def states(self, a: MealyAutomaton, k: int) -> list[int]:
@@ -222,20 +218,20 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
                      spheres: bool = True) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
-    The generators and elements are interned nodes of a store local to this
-    call, so equality is exact.  When ``spheres`` is set, an element is
-    expanded again when first reached at the other length parity;
+    The generators and the elements' sections are interned nodes of a store
+    local to this call, and an element is its flat node tuple, so equality
+    is exact.  When ``spheres`` is set, an element is expanded again when
+    first reached at the other length parity;
     ``sphere_sizes`` is as described in ``GrowthLayers``.  Recording more
     than ``MAX_ELEMENTS`` elements raises ``CapacityError``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     check_level(level)
-    cap = MAX_ELEMENTS
     store = _Store()
     gen_factors = [store.factor(g) for g in store.states(a, level)]
-    ident = store.identity(a.alphabet_size, level)
-    build = store.build  # the BFS's own products are not memoized
+    ident = store.nodes[store.identity(a.alphabet_size, level)]
+    key = store.key  # the BFS's own products are neither memoized nor interned
     # bit p of seen[x]: x is the product of some word of a length of parity p
     seen = {ident: 1}
     frontier = [ident]
@@ -247,11 +243,11 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
         new_frontier = []
         for h in frontier:
             for r in gen_factors:
-                prod = build(h, r)
+                prod = key(h, r)
                 bits = seen.get(prod)
                 if bits is None:
-                    if len(seen) >= cap:
-                        raise CapacityError(f"element count exceeded cap {cap}")
+                    if len(seen) >= MAX_ELEMENTS:
+                        raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
                     seen[prod] = bit
                 elif spheres and not bits & bit:
                     seen[prod] = bits | bit
@@ -272,9 +268,9 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
 def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int]]:
     """(sphere, ball) sizes of I2 at radii 0..nmax, by BFS at the stabilization level.
 
-    A product of n generators has normal-form exponents below n/2, and
-    level k separates quotient normal forms with exponents under k-1, so
-    floor(nmax/2)+2 suffices for every n <= nmax.  The BFS never reads the
+    Level k's counts equal the monoid's through radius 2k-1 and first
+    differ at radius 2k (checked for k <= 21), so floor(nmax/2)+1 is the
+    least level that serves every n <= nmax.  The BFS never reads the
     series; each row and the depth's new elements are then compared with
     (gamma(n), gamma_S(n), delta(n)), and ``VerificationError`` names the
     first radius where they differ.  A level too shallow merges elements,
@@ -287,12 +283,12 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
         raise ValueError("the stabilization oracle holds only for I2")
     if nmax < 1:
         raise ValueError("radius must be >= 1")
-    check_level(nmax // 2 + 2)  # before the series, which grows with nmax
+    check_level(nmax // 2 + 1)  # before the series, which grows with nmax
     _, delta, gamma, ball = series.growth_series(nmax)
     if ball[nmax] > MAX_ELEMENTS:  # the BFS would store that many elements
         raise CapacityError(f"element count {ball[nmax]} exceeds cap {MAX_ELEMENTS}")
     # I2 has new elements at every radius, so the run reaches depth nmax
-    layers = enumerate_monoid(a, nmax // 2 + 2, max_depth=nmax)
+    layers = enumerate_monoid(a, nmax // 2 + 1, max_depth=nmax)
     rows = zip(layers.sphere_sizes, layers.cumulative, layers.layer_sizes)
     for n, (row, want) in enumerate(zip_longest(rows, zip(gamma, ball, delta))):
         if row != want:

@@ -338,7 +338,7 @@ class TestVerify:
 @pytest.mark.parametrize("argv", [
     ["growth", "--N", "10000", "--oracle"],
     ["verify", "oracle", "--nmax", "500"],
-    ["verify", "oracle", "--nmax", "200"],  # level 102 is within the level bound
+    ["verify", "oracle", "--nmax", "200"],  # level 101 is within the level bound
     ["quotient", "--n", "40"],
     ["verify", "relations", "--level", str(tables.MAX_LEVEL + 1)],
     ["growth", "--N", str(series.MAX_N + 1)],

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mealygrowth import (
@@ -110,6 +110,7 @@ class TestPartitions:
 
     @given(st.integers(0, 300).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))),
            st.sampled_from([-2, -1, 1, 2]))
+    @example((0, 0), 1)  # a one-term q is still checked
     @settings(max_examples=40)
     def test_wrong_coefficient_fails_at_its_n(self, case, delta):
         N, n = case

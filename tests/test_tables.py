@@ -16,6 +16,7 @@ from mealygrowth import (
     ball_growth_coeffs,
     compose,
     enumerate_monoid,
+    growth_series,
     hausdorff_sequence,
     i2_quotient_order_formula,
     identity_table,
@@ -203,14 +204,14 @@ class TestEnumeration:
         cap = full.cumulative[d - 1] + 5
         assert full.cumulative[d] > cap + 100
         calls = 0
-        build = tables._Store.build
+        key = tables._Store.key
 
-        def counting_build(self, h, r):
+        def counting_key(self, h_node, r):
             nonlocal calls
             calls += 1
-            return build(self, h, r)
+            return key(self, h_node, r)
 
-        monkeypatch.setattr(tables._Store, "build", counting_build)
+        monkeypatch.setattr(tables._Store, "key", counting_key)
         counts = []
         for depth in (d - 1, d):
             calls = 0
@@ -228,19 +229,19 @@ class TestEnumeration:
         # a faster kernel must not form fewer products: one top-level product
         # per element and generator, and the memoized section products below
         calls = top = depth = 0
-        build = tables._Store.build
+        key = tables._Store.key
 
-        def counting_build(self, h, r):
+        def counting_key(self, h_node, r):
             nonlocal calls, top, depth
             calls += 1
             top += depth == 0
             depth += 1
             try:
-                return build(self, h, r)
+                return key(self, h_node, r)
             finally:
                 depth -= 1
 
-        monkeypatch.setattr(tables._Store, "build", counting_build)
+        monkeypatch.setattr(tables._Store, "key", counting_key)
         layers = enumerate_monoid(I2, 11, spheres=False)
         assert layers.element_count == 43_010
         assert (calls, top) == (155_705, 2 * 43_010)
@@ -268,8 +269,9 @@ class TestEnumeration:
         assert after - before < 500_000
 
     def test_bfs_bytes_per_element(self):
-        # a memory guard, not a timing gate: flat nodes, parity bits and no
-        # memo of the BFS's own products give about 340 B per element
+        # a memory guard, not a timing gate: flat nodes, parity bits, and BFS
+        # products kept as tuples, neither memoized nor interned, give about
+        # 275 B per element
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -278,7 +280,7 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert layers.element_count == i2_quotient_order_formula(11) == 43_010
-        assert peak / layers.element_count < 450
+        assert peak / layers.element_count < 310
 
 
 class TestStabilizedOracle:
@@ -331,7 +333,22 @@ class TestStabilizedOracle:
 
         monkeypatch.setattr(tables, "enumerate_monoid", recording)
         stabilized_growth_table(I2, 12)
-        assert levels == [8]
+        assert levels == [7]
+
+    def test_level_rule_is_tight(self):
+        # level nmax//2 + 1 matches gamma, gamma_S and delta through nmax, and
+        # level nmax//2 does not: level k first differs at radius 2k (k >= 1)
+        _, delta, gamma, ball = growth_series(43)
+        first_differs = []
+        for k in range(22):
+            layers = enumerate_monoid(I2, k, max_depth=2 * k + 1)
+            rows = zip(layers.sphere_sizes, layers.cumulative, layers.layer_sizes)
+            first_differs.append(next(
+                n for n, (row, want) in enumerate(zip(rows, zip(gamma, ball, delta)))
+                if row != want))
+        assert first_differs == [1] + [2 * k for k in range(1, 22)]
+        for nmax in range(1, 41):
+            assert first_differs[nmax // 2 + 1] > nmax >= first_differs[nmax // 2]
 
     @pytest.mark.parametrize("outputs", [(1, 0), (0, 0)])
     def test_only_i2_is_admitted(self, outputs):
