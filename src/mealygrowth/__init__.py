@@ -49,16 +49,12 @@ from .tables import (
     GrowthLayers,
     TransformTable,
     ball_growth_oracle,
-    compose,
     enumerate_monoid,
     hausdorff_sequence,
     i2_quotient_order_formula,
-    identity_table,
-    pack_word,
     spherical_growth_oracle,
     stabilized_growth_table,
     table_of,
-    unpack_word,
     word_table,
 )
 

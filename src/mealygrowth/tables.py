@@ -8,15 +8,17 @@ hash-consed, so equal elements of one level have one id, and the product
 is one recursion per level over the right factor's layout, precomputed
 once, and memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).
 A BFS has a store of its own and keeps its own products as flat tuples, none
-interned, each formed at most once per parity; all other tables share one store.
+interned, each formed at most once per parity.  A table holds its store: a
+store lives exactly as long as some table in it, and every live table shares it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -102,55 +104,39 @@ class _Store:
         return node
 
 
-_STORE = _Store()
+# the store every live table shares; it dies with the last of them (and starts dead)
+_live_store = weakref.ref(_Store())
 
 
 @dataclass(frozen=True)
 class TransformTable:
     """Action of one semigroup element on all length-`level` words.
 
-    A view of one node of the module store; equal tables have equal nodes.
+    A view of one node of ``store``; equal tables have equal nodes.
     """
 
     level: int
     alphabet_size: int
     node: int
+    store: _Store = field(repr=False)
 
     @property
     def outputs(self) -> array:
-        """Packed output words indexed by packed input word, built on demand."""
+        """Output words indexed by input word, packed first letter most significant."""
         k, m = self.level, self.alphabet_size
         if k * math.log2(m) > 24:  # the array has m**k entries
             raise CapacityError(f"level {k} over alphabet {m} exceeds packing capacity")
-        return array("q", [pack_word(self(unpack_word(v, k, m)), m) for v in range(m**k)])
-
-    def __call__(self, word) -> tuple[int, ...]:
-        """Apply to a word of exactly `level` letters."""
-        if len(word) != self.level:
-            raise ValueError("word length must equal table level")
-        out, node, m = [], self.node, self.alphabet_size
-        for x in word:
-            if not 0 <= x < m:
-                raise ValueError(f"letter {x} out of range for alphabet of size {m}")
-            flat = _STORE.nodes[node]
-            out.append(flat[x])
-            node = flat[m + x]
-        return tuple(out)
-
-
-def pack_word(word, m: int = 2) -> int:
-    value = 0
-    for x in word:
-        value = value * m + x
-    return value
-
-
-def unpack_word(value: int, k: int, m: int = 2) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(value % m)
-        value //= m
-    return tuple(reversed(out))
+        nodes, layers = self.store.nodes, [{self.node}]
+        for _ in range(k):  # layers[i] holds the nodes at level k - i
+            layers.append({s for h in layers[-1] for s in nodes[h][m:]})
+        words, chunk = {0: [0]}, 1  # each node's packed outputs, from level 1 up
+        for layer in reversed(layers[:-1]):
+            words = {
+                h: [y * chunk + v for y, s in zip(nodes[h][:m], nodes[h][m:]) for v in words[s]]
+                for h in layer
+            }
+            chunk *= m
+        return array("q", words[self.node])
 
 
 def check_level(k: int):
@@ -166,31 +152,23 @@ def table_of(a: MealyAutomaton, q: int, k: int) -> TransformTable:
     return word_table(a, (q,), k)  # hash-consing makes identity o f_q the node of f_q
 
 
-def identity_table(k: int, m: int = 2) -> TransformTable:
-    check_level(k)
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
-    return TransformTable(k, m, _STORE.identity(m, k))
-
-
-def compose(f: TransformTable, g: TransformTable) -> TransformTable:
-    """f o g: apply g first.  Matches the juxtaposition convention."""
-    if f.level != g.level or f.alphabet_size != g.alphabet_size:
-        raise ValueError("tables must live on the same level and alphabet")
-    return TransformTable(f.level, f.alphabet_size, _STORE.compose(f.node, _STORE.factor(g.node)))
-
-
 def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     """Level-k table of a product of states, leftmost factor applied last."""
+    global _live_store
+    check_level(k)
     for q in set(word):  # once per state, not per letter
         if not 0 <= q < a.state_count:
             raise ValueError(f"state {q} out of range")
-    result = identity_table(k, a.alphabet_size).node
-    states = [_STORE.factor(s) for s in _STORE.states(a, k)]
+    store = _live_store()
+    if store is None:
+        store = _Store()
+        _live_store = weakref.ref(store)
+    result = store.identity(a.alphabet_size, k)
+    states = [store.factor(s) for s in store.states(a, k)]
     # rightmost factor acts first: the left-to-right fold gives f_q0 o f_q1 o ...
     for q in word:
-        result = _STORE.compose(result, states[q])
-    return TransformTable(k, a.alphabet_size, result)
+        result = store.compose(result, states[q])
+    return TransformTable(k, a.alphabet_size, result, store)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Tests for the level-k transformation-table oracle."""
 
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +16,13 @@ from mealygrowth import (
     apply,
     automaton_growth_coeffs,
     ball_growth_coeffs,
-    compose,
     enumerate_monoid,
     growth_series,
     hausdorff_sequence,
     i2_quotient_order_formula,
-    identity_table,
-    pack_word,
     stabilized_growth_table,
     table_of,
     tables,
-    unpack_word,
     word_table,
 )
 from reference_tables import (
@@ -58,27 +56,17 @@ def automaton_words(draw, count):
     return a, k, [draw(state_words) for _ in range(count)]
 
 
-class TestPacking:
-    def test_first_letter_most_significant(self):
-        assert pack_word((1, 0, 0)) == 4
-        assert unpack_word(4, 3) == (1, 0, 0)
-
-    @given(st.integers(0, 255))
-    def test_roundtrip(self, v):
-        assert pack_word(unpack_word(v, 8)) == v
-
-
 class TestTableOf:
     def test_matches_transducer_run(self):
+        # product() lists the words in packed order, first letter most significant
+        words5 = list(product((0, 1), repeat=5))
         for q in (0, 1):
-            t = table_of(I2, q, 5)
-            for v in range(32):
-                w = unpack_word(v, 5)
-                assert t(w) == apply(I2, q, w)
+            outputs = table_of(I2, q, 5).outputs
+            assert [words5[v] for v in outputs] == [apply(I2, q, w) for w in words5]
 
     def test_level_zero(self):
-        t = table_of(I2, 0, 0)
-        assert t(()) == ()
+        assert list(table_of(I2, 0, 0).outputs) == [0]
+        assert apply(I2, 0, ()) == ()
 
     def test_capacity_guard(self):
         # nodes have no level limit; the per-level recursions do
@@ -95,11 +83,6 @@ class TestTableOf:
         # only the flat packed array has an m**k size limit
         with pytest.raises(CapacityError):
             table_of(I2, 0, 40).outputs
-
-    @pytest.mark.parametrize("word", [(-1, 0), (2, 0)])
-    def test_letter_out_of_range(self, word):
-        with pytest.raises(ValueError, match="out of range"):
-            table_of(I2, 0, 2)(word)
 
     @pytest.mark.parametrize("word,bad", [((-1,), -1), ((2,), 2), ((0, 1, 5), 5)])
     def test_word_state_out_of_range(self, word, bad):
@@ -123,55 +106,61 @@ class TestCompose:
         r1, r2 = reference_word_table(a, w1, k), reference_word_table(a, w2, k)
         assert list(t1.outputs) == r1
         assert list(t2.outputs) == r2
-        assert list(compose(t1, t2).outputs) == reference_compose(r1, r2)
+        assert list(word_table(a, w1 + w2, k).outputs) == reference_compose(r1, r2)
         assert (t1 == t2) == (r1 == r2)
 
     @given(st.data())
     @settings(deadline=None)
     def test_interleaved_calls_match_reference(self, data):
-        # word tables and products over 1, 2 and 3 letters share the module store
+        # word tables over 1, 2 and 3 letters from separate calls, kept alive
+        # together, share one store and so compare by value
         pool = []
         for _ in range(data.draw(st.integers(1, 8))):
             a, k, (w,) = data.draw(automaton_words(1))
-            pool.append((word_table(a, w, k), reference_word_table(a, w, k)))
-            f, rf = data.draw(st.sampled_from(pool))
-            shape = (f.level, f.alphabet_size)
-            g, rg = data.draw(st.sampled_from(
-                [(g, rg) for g, rg in pool if (g.level, g.alphabet_size) == shape]
-            ))
-            pool.append((compose(f, g), reference_compose(rf, rg)))
-        for t, r in pool:
+            pool.append((word_table(a, w, k), (k, a.alphabet_size, reference_word_table(a, w, k))))
+        for t, (_, _, r) in pool:
             assert list(t.outputs) == r
+        for t1, r1 in pool:
+            assert [t1 == t2 for t2, _ in pool] == [r1 == r2 for _, r2 in pool]
+        assert len({t for t, _ in pool}) == len({(k, m, tuple(r)) for _, (k, m, r) in pool})
 
     @given(words, words)
     @settings(max_examples=100)
     def test_matches_sequential_application(self, w1, w2):
         k = 5
-        t1 = word_table(I2, w1, k)
-        t2 = word_table(I2, w2, k)
-        both = compose(t1, t2)
-        for v in (0, 7, 21, 31):
-            w = unpack_word(v, k)
-            assert both(w) == t1(t2(w))
+        t1 = word_table(I2, w1, k).outputs
+        t2 = word_table(I2, w2, k).outputs
+        assert list(word_table(I2, w1 + w2, k).outputs) == [t1[v] for v in t2]
 
-    def test_identity_neutral(self):
-        t = table_of(I2, 1, 6)
-        e = identity_table(6)
-        assert compose(t, e) == t == compose(e, t)
-
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_identity_needs_a_letter(self, m):
-        # it once returned the level-0 node labelled with the level asked for
-        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
-            identity_table(3, m)
+    @given(automaton_words(0))
+    def test_identity_neutral(self, case):
+        a, k, _ = case
+        assert list(word_table(a, (), k).outputs) == list(range(a.alphabet_size**k))
 
     @given(words)
     def test_word_table_is_fold_of_compose(self, w):
         k = 4
-        t = identity_table(k)
+        outputs = list(word_table(I2, (), k).outputs)
         for q in w:  # leftmost factor applied last = composed first
-            t = compose(t, table_of(I2, q, k))
-        assert t == word_table(I2, w, k)
+            outputs = reference_compose(outputs, list(table_of(I2, q, k).outputs))
+        assert list(word_table(I2, w, k).outputs) == outputs
+
+    def test_dropped_tables_keep_no_memory(self):
+        # a memory bound, not a timing gate: a store lives only as long as
+        # some table in it
+        rng = random.Random(60)
+        requests = [tuple(rng.randint(0, 1) for _ in range(60)) for _ in range(250)]
+        tracemalloc.start()
+        try:
+            for w in requests[:50]:
+                word_table(I2, w, 40)
+            before = tracemalloc.get_traced_memory()[0]
+            for w in requests[50:]:
+                word_table(I2, w, 40)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 50_000
 
 
 class TestEnumeration:
