@@ -92,14 +92,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    if args.n is not None:
-        same = rewrite.words_equal_quotient(
-            rewrite.parse_word(args.word1), rewrite.parse_word(args.word2), args.n
-        )
+    w1, w2 = rewrite.parse_word(args.word1), rewrite.parse_word(args.word2)
+    if args.n is None:
+        same = rewrite.words_equal(w1, w2)
     else:
-        same = rewrite.words_equal(
-            rewrite.parse_word(args.word1), rewrite.parse_word(args.word2)
-        )
+        same = rewrite.words_equal_quotient(w1, w2, args.n)
     print("true" if same else "false")
     return 0
 
@@ -134,8 +131,10 @@ def _suite_relations(args):
         raise ValueError("--level must be at least 1")
     # before the first line; the left-zero check at n also builds level n+1
     tables.check_level(max(args.level, args.nmax + 1))
+    held = tables.word_table(mealy.I2, (), args.level)  # so every relation's tables share a store
     for p in range(args.pmax + 1):
         yield f"relation r_{p} at level {args.level}", rewrite.verify_relation(p, args.level)
+    del held  # the left-zero checks span levels: each builds a store of its own
     for n in range(1, args.nmax + 1):
         holds, fails = rewrite.verify_left_zero(n)
         yield f"left zero at level {n}", holds and fails
@@ -181,8 +180,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for name, ok in args.checks(args):
         print(json.dumps({"check": name, "pass": bool(ok)}))
-        if not ok:
-            failures += 1
+        failures += not ok
     print(f"{args.suite}: {'pass' if failures == 0 else f'{failures} failure(s)'}",
           file=sys.stderr)
     return 0 if failures == 0 else 1

@@ -13,27 +13,26 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
-from .errors import AutomatonFormatError, CapacityError
+from .errors import AutomatonFormatError, CapacityError, Value
 
 MAX_STATES = 10**6
+_LABEL_RE = re.compile(r"[^\s#]+")  # a label that a state line of the text format reads back
 
 
-@dataclass(frozen=True)
-class MealyAutomaton:
+class MealyAutomaton(Value):
     """Transition/output tables of a finite transducer.
 
     ``transitions[q][x]`` is the next state after reading letter ``x`` in
     state ``q``; ``outputs[q][x]`` is the letter emitted.
     """
 
-    alphabet_size: int
-    transitions: tuple[tuple[int, ...], ...]
-    outputs: tuple[tuple[int, ...], ...]
-    state_labels: tuple[str, ...] | None = None
+    __slots__ = ("alphabet_size", "transitions", "outputs", "state_labels")
 
-    def __post_init__(self):
+    def __init__(self, alphabet_size: int, transitions: tuple[tuple[int, ...], ...],
+                 outputs: tuple[tuple[int, ...], ...],
+                 state_labels: tuple[str, ...] | None = None):
+        self._set(alphabet_size, transitions, outputs, state_labels)
         m, n = self.alphabet_size, self.state_count
         if m < 1 or n < 1:
             raise ValueError("automaton needs at least one state and one letter")
@@ -46,8 +45,11 @@ class MealyAutomaton:
                 raise ValueError(f"state {q}: transition entry out of range")
             if any(not 0 <= o < m for o in self.outputs[q]):
                 raise ValueError(f"state {q}: output entry out of range")
-        if self.state_labels is not None and len(self.state_labels) != n:
+        if state_labels is not None and len(state_labels) != n:
             raise ValueError("label count must match state count")
+        for q, label in enumerate(state_labels or ()):
+            if not _LABEL_RE.fullmatch(label):
+                raise ValueError(f"state {q}: label {label!r} is empty or has whitespace or '#'")
 
     @property
     def state_count(self) -> int:

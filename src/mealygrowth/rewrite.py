@@ -21,10 +21,8 @@ drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
-from .errors import VerificationError
+from .errors import Value, VerificationError
 from .mealy import I2, MealyAutomaton
 
 
@@ -42,13 +40,12 @@ def format_word(word) -> str:
     return "".join(str(c) for c in word)
 
 
-class NormalForm:
+class NormalForm(Value):
     """Base class for the three canonical-word variants."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(NormalForm):
     """The monoid identity (empty word)."""
 
@@ -58,7 +55,6 @@ class One(NormalForm):
         return "one"
 
 
-@dataclass(frozen=True)
 class JustF0(NormalForm):
     """The involution generator alone."""
 
@@ -68,7 +64,6 @@ class JustF0(NormalForm):
         return "f0"
 
 
-@dataclass(frozen=True)
 class General(NormalForm):
     """Canonical word containing at least one f1.
 
@@ -76,17 +71,15 @@ class General(NormalForm):
     the final exponent p_{k+1} (unconstrained).
     """
 
-    eps1: int
-    exponents: tuple[int, ...]
-    tail: int
-    eps2: int
+    __slots__ = ("eps1", "exponents", "tail", "eps2")
 
-    def __post_init__(self):
-        if self.eps1 not in (0, 1) or self.eps2 not in (0, 1):
+    def __init__(self, eps1: int, exponents: tuple[int, ...], tail: int, eps2: int):
+        self._set(eps1, exponents, tail, eps2)
+        if eps1 not in (0, 1) or eps2 not in (0, 1):
             raise ValueError("eps1/eps2 must be 0 or 1")
-        if self.tail < 0 or any(p < 0 for p in self.exponents):
+        if tail < 0 or any(p < 0 for p in exponents):
             raise ValueError("exponents must be non-negative")
-        if any(a >= b for a, b in zip(self.exponents, self.exponents[1:])):
+        if any(a >= b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be strictly increasing")
 
     @property

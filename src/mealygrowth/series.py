@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
-from .errors import CapacityError, VerificationError
+from .errors import CapacityError, Value, VerificationError
 
 PI = math.pi
 #: largest N for q(0..N): the Durfee sum is O(N^1.5) in time and holds a few
@@ -258,16 +257,14 @@ def ball_growth_coeffs(N: int) -> list[int]:
 
 # --- asymptotics ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoteSpec:
+class AsymptoteSpec(Value):
     """Main term C * n^power * exp(coeff * sqrt(n))."""
 
-    prefactor: float
-    power: float
-    exponent_coefficient: float
+    __slots__ = ("prefactor", "power", "exponent_coefficient")
 
-    def __post_init__(self):
-        if self.prefactor <= 0:
+    def __init__(self, prefactor: float, power: float, exponent_coefficient: float):
+        self._set(prefactor, power, exponent_coefficient)
+        if prefactor <= 0:
             raise ValueError("prefactor must be positive")
 
     def log_evaluate(self, n) -> float:

@@ -18,12 +18,11 @@ import math
 import sys
 import weakref
 from array import array
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import itemgetter
 
 from . import series
-from .errors import CapacityError, VerificationError
+from .errors import CapacityError, Value, VerificationError
 from .mealy import I2, MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
@@ -108,17 +107,17 @@ class _Store:
 _live_store = weakref.ref(_Store())
 
 
-@dataclass(frozen=True)
-class TransformTable:
+class TransformTable(Value):
     """Action of one semigroup element on all length-`level` words.
 
     A view of one node of ``store``; equal tables have equal nodes.
     """
 
-    level: int
-    alphabet_size: int
-    node: int
-    store: _Store = field(repr=False)
+    __slots__ = ("level", "alphabet_size", "node", "store")
+    _unshown = ("store",)
+
+    def __init__(self, level: int, alphabet_size: int, node: int, store: _Store):
+        self._set(level, alphabet_size, node, store)
 
     @property
     def outputs(self) -> array:
@@ -171,8 +170,7 @@ def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     return TransformTable(k, a.alphabet_size, result, store)
 
 
-@dataclass
-class GrowthLayers:
+class GrowthLayers(Value):
     """Ball/sphere/word growth data of one BFS enumeration.
 
     ``layer_sizes[d]`` counts elements first reached at depth d (word
@@ -182,10 +180,10 @@ class GrowthLayers:
     exactly d generators when some generator is an involution (I2's f0).
     """
 
-    layer_sizes: list[int]
-    cumulative: list[int]
-    sphere_sizes: list[int]
-    saturated: bool
+    __slots__ = ("layer_sizes", "cumulative", "sphere_sizes", "saturated")
+
+    def __init__(self, layer_sizes: list, cumulative: list, sphere_sizes: list, saturated: bool):
+        self._set(layer_sizes, cumulative, sphere_sizes, saturated)
 
     @property
     def element_count(self) -> int:

@@ -321,6 +321,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "relations", "--pmax", "2", "--level", level)
         assert (code, err) == (0, "relations: pass\n")
 
+    def test_relations_share_one_store(self, capsys, monkeypatch):
+        made = []
+        init = tables._Store.__init__
+        monkeypatch.setattr(tables._Store, "__init__", lambda store: made.append(1) or init(store))
+        monkeypatch.setattr(tables, "_live_store", lambda: None)  # as if no table were alive
+        code, out, _ = run(capsys, "verify", "relations", "--pmax", "6", "--nmax", "0")
+        assert (code, len(out.splitlines()), len(made)) == (0, 7, 1)
+
     def test_left_zero_past_the_packing_limit(self, capsys):
         # the left zero is checked by comparing nodes; no 2**n array is built
         start = time.perf_counter()

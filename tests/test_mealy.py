@@ -111,6 +111,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="^label count must match state count$"):
             MealyAutomaton(2, ((0, 0),), ((0, 1),), ("a", "b"))
 
+    # each of these once gave a file that parse_automaton rejects
+    @pytest.mark.parametrize("label", ["", "s #1", "#", "a b", "tab\tbed", "a\nb", "nbsp\xa0"])
+    def test_label_the_text_format_cannot_keep(self, label):
+        message = f"state 1: label {label!r} is empty or has whitespace or '#'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MealyAutomaton(2, ((0, 0), (1, 0)), ((1, 0), (1, 1)), ("ok", label))
+
 
 class TestInvertibility:
     def test_i2_is_not_invertible(self):
@@ -260,6 +267,18 @@ class TestFormat:
 
     def test_roundtrip(self):
         assert parse_automaton(format_automaton(I2)).transitions == I2.transitions
+
+    @given(st.lists(st.text(), min_size=2, max_size=2))
+    def test_every_accepted_label_survives_format_and_parse(self, labels):
+        try:
+            a = MealyAutomaton(2, I2.transitions, I2.outputs, tuple(labels))
+        except ValueError:
+            return
+        assert parse_automaton(format_automaton(a)) == a
+
+    def test_labels_survive_format_and_parse(self):
+        a = MealyAutomaton(2, I2.transitions, I2.outputs, ("f0.f1-x", "\u00e9tat_2"))
+        assert parse_automaton(format_automaton(a)) == a
 
     def test_error_carries_line_number(self):
         bad = "alphabet 2\nstates 1\nstate q0 trans 0 out 9 9\n"
