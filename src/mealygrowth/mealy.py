@@ -131,34 +131,37 @@ def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
 
 
 def minimize(a: MealyAutomaton) -> MealyAutomaton:
-    """Collapse states inducing equal transformations.
+    """Collapse states inducing equal transformations (``_refine``).
 
-    Partition states by their output rows, then refine on successor blocks
-    until stable (``_refine``).  All states are kept (no reachability
-    pruning): every state defines a transformation and equivalence is on
-    the full set.  Each block keeps the label of its first state.
+    All states are kept (no reachability pruning): every state defines a
+    transformation and equivalence is on the full set.  Each block keeps
+    the label of its first state.
     """
-    block, reps = _refine(list(zip(*a.transitions)), a.outputs)
-    trans = tuple(tuple(block[t] for t in a.transitions[q]) for q in reps)
-    return MealyAutomaton(a.alphabet_size, trans, tuple(a.outputs[q] for q in reps),
+    (trans, outs), reps = _refine(list(zip(*a.transitions)), list(zip(*a.outputs)))
+    return MealyAutomaton(a.alphabet_size, tuple(zip(*trans)), tuple(zip(*outs)),
                           tuple(a.label(q) for q in reps))
 
 
-def _refine(cols, keys) -> tuple[list[int], list[int]]:
-    """Moore's partition: block ids numbered by first occurrence, and each block's first state.
+def _refine(trans, outs):
+    """Minimal automaton of columns ``trans[x][q]`` (q's successor on x) and ``outs[x][q]``.
 
-    ``cols[x][q]`` is the successor of state q on letter x and ``keys[q]``
-    its output key.  The refinement is a worklist form of Moore's rounds.
-    A state's signature, its successor block ids as one int in base n + 1,
-    changes only when a successor moves, and a state that moves takes a
-    fresh id.  So each round recomputes only the dirty states, the moved
-    states' predecessors, whose signatures differ from those of the clean
-    members of their block ``b``: they leave ``b``, grouped by signature
-    (if no clean member stays, the largest group keeps ``b``).  Every round
-    therefore yields Moore's partition, and the loop stops, when no state
-    moves, where Moore's does.
+    Returns its ``(trans, outs)``, the columns restricted to ``reps``, each
+    block's first state, with successors renumbered by block; and ``reps``.
+    Blocks start as equal output rows, each packed as one int in base m,
+    and are numbered by first occurrence.  The refinement is a worklist
+    form of Moore's rounds.  A state's signature, its successor block ids
+    as one int in base n + 1, changes only when a successor moves, and a
+    state that moves takes a fresh id.  So each round recomputes only the
+    dirty states, the moved states' predecessors, whose signatures differ
+    from those of the clean members of their block ``b``: they leave ``b``,
+    grouped by signature (if no clean member stays, the largest group keeps
+    ``b``).  Every round therefore yields Moore's partition, and the loop
+    stops, when no state moves, where Moore's does.
     """
-    n = len(keys)
+    m, n = len(outs), len(outs[0])
+    keys = outs[0]
+    for c in outs[1:]:
+        keys = [k * m + o for k, o in zip(keys, c)]
     base = n + 1
     ids = {}
     block = [ids.setdefault(k, len(ids)) for k in keys]
@@ -166,13 +169,13 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
     for b in block:
         size[b] += 1
     preds = [[] for _ in range(n)]
-    for col in cols:
+    for col in trans:
         for q, t in enumerate(col):
             preds[t].append(q)
     dirty = range(n)
     while dirty:
         sigs = [0] * len(dirty)
-        for col in reversed(cols):
+        for col in reversed(trans):
             sigs = [s * base + block[col[q]] for s, q in zip(sigs, dirty)]
         groups = {}
         for q, s in zip(dirty, sigs):
@@ -193,7 +196,8 @@ def _refine(cols, keys) -> tuple[list[int], list[int]]:
         dirty = set(itertools.chain.from_iterable(map(preds.__getitem__, moved)))
     reps = sorted(dict(zip(reversed(block), reversed(range(n)))).values())
     ids = {block[q]: i for i, q in enumerate(reps)}
-    return [ids[b] for b in block], reps
+    return ([[ids[block[c[q]]] for q in reps] for c in trans],
+            [[c[q] for q in reps] for c in outs]), reps
 
 
 def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
@@ -201,10 +205,8 @@ def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
 
     Computed incrementally: minimize(a^n) = minimize(minimize(a^(n-1)) x a),
     valid because minimization preserves the induced transformation set.
-    The minimal power is kept as per-letter columns, starting from the
-    one-state identity (whose product with a is a); each ``_product`` is
-    range-checked and refined directly, with no automaton or label per
-    power.
+    Each minimal power is the columns ``_refine`` returns for a checked
+    ``_product``, from the one-state identity (whose product with a is a).
     """
     if N < 1:
         raise ValueError("growth requires N >= 1")
@@ -217,16 +219,12 @@ def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
         if not all(0 <= min(c) <= max(c) < n for c in trans) or not all(
                 0 <= min(c) <= max(c) < m for c in outs):
             raise ValueError("product table entry out of range")
-        keys = outs[0]  # each state's output row as one int in base m
-        for c in outs[1:]:
-            keys = [k * m + o for k, o in zip(keys, c)]
-        block, reps = _refine(trans, keys)
-        cur = [[block[c[q]] for q in reps] for c in trans], [[c[q] for q in reps] for c in outs]
+        cur, reps = _refine(trans, outs)
         counts.append(len(reps))
     return counts
 
 
-_STATE_RE = re.compile(r"^state\s+(\S+)\s+trans((?:\s+\d+)+)\s+out((?:\s+\d+)+)$")
+_STATE_RE = re.compile(rf"^state\s+({_LABEL_RE.pattern})\s+trans((?:\s+\d+)+)\s+out((?:\s+\d+)+)$")
 
 
 def parse_automaton(text: str) -> MealyAutomaton:
@@ -240,11 +238,8 @@ def parse_automaton(text: str) -> MealyAutomaton:
 
     ``#`` starts a comment; blank lines are ignored.
     """
-    lines = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((i, stripped))
+    lines = [(i, line) for i, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
     if len(lines) < 2:
         raise AutomatonFormatError("expected 'alphabet' and 'states' header lines")
     m = _parse_header(lines[0], "alphabet")

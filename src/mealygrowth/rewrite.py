@@ -261,33 +261,20 @@ def width(word) -> int:
     even f0-run (including none) closes a block.  Invariant under all
     defining relations; zero exactly for powers of f0.
     """
-    run = 0
-    seen_one = False
-    blocks = []
-    current = 0
+    total = lo = hi = sign = 0  # sign: the current block's; 0 before the first f1
+    odd = False  # the f0-run since the last f1 is odd
     for c in word:
         if c == 1:
-            if not seen_one:
-                seen_one = True
-                current = 1
-            elif run % 2 == 1:
-                current += 1
-            else:
-                blocks.append(current)
-                current = 1
-            run = 0
+            if not odd:  # the first f1, or an even run closes a block
+                sign = -sign or 1
+            total += sign
+            lo, hi = min(lo, total), max(hi, total)  # a block moves the sum one way
+            odd = False
         elif c == 0:
-            if seen_one:
-                run += 1
+            odd = bool(sign) and not odd
         else:
             raise ValueError(f"invalid generator {c!r}")
-    blocks.append(current)
-    sums = [0]
-    total = 0
-    for i, b in enumerate(blocks):
-        total += b if i % 2 == 0 else -b
-        sums.append(total)
-    return max(sums) - min(sums)
+    return hi - lo
 
 
 def _distinct_odd_exponent_sets(total, min_exp=0):

@@ -102,6 +102,12 @@ class _Store:
             node = self.intern(tuple(range(m)) + (node,) * m)
         return node
 
+    def __deepcopy__(self, memo):  # shared state: a deep-copied table views the same nodes
+        return self
+
+    def __reduce__(self):
+        raise TypeError("a table's node store is shared state and cannot be pickled")
+
 
 # the store every live table shares; it dies with the last of them (and starts dead)
 _live_store = weakref.ref(_Store())

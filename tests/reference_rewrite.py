@@ -2,7 +2,8 @@
 
 After every r_p application the whole word is rebuilt and parsed again, so
 it runs in O(|w|^2).  Tests compare ``mealygrowth.rewrite.reduce_detailed``
-against it.
+against it.  ``reference_width`` is ``width`` in two passes: it lists the
+f1-blocks, then their alternating partial sums.
 """
 
 from mealygrowth.errors import VerificationError
@@ -98,3 +99,39 @@ def reference_reduce_detailed(word) -> tuple[NormalForm, int]:
     if steps > budget:
         raise VerificationError(f"{steps} relation applications exceed the bound {budget}")
     return nf, steps
+
+
+def reference_width(word) -> int:
+    """Spread of the alternating partial sums of f1-block sizes.
+
+    Blocks are maximal groups of f1's separated by odd runs of f0's; an
+    even f0-run (including none) closes a block.  Invariant under all
+    defining relations; zero exactly for powers of f0.
+    """
+    run = 0
+    seen_one = False
+    blocks = []
+    current = 0
+    for c in word:
+        if c == 1:
+            if not seen_one:
+                seen_one = True
+                current = 1
+            elif run % 2 == 1:
+                current += 1
+            else:
+                blocks.append(current)
+                current = 1
+            run = 0
+        elif c == 0:
+            if seen_one:
+                run += 1
+        else:
+            raise ValueError(f"invalid generator {c!r}")
+    blocks.append(current)
+    sums = [0]
+    total = 0
+    for i, b in enumerate(blocks):
+        total += b if i % 2 == 0 else -b
+        sums.append(total)
+    return max(sums) - min(sums)

@@ -208,9 +208,9 @@ class TestGrowth:
         refined = []
         real_refine = mealy._refine
 
-        def recording_refine(cols, keys):
-            refined.append(len(keys))
-            return real_refine(cols, keys)
+        def recording_refine(trans, outs):
+            refined.append(len(outs[0]))
+            return real_refine(trans, outs)
 
         monkeypatch.setattr(mealy, "_refine", recording_refine)
         monkeypatch.setattr(mealy, "MAX_STATES", 5)

@@ -37,7 +37,7 @@ from mealygrowth import (
     words_equal_quotient,
 )
 from mealygrowth import rewrite
-from reference_rewrite import reference_reduce_detailed
+from reference_rewrite import reference_reduce_detailed, reference_width
 
 words = st.lists(st.integers(0, 1), max_size=30).map(tuple)
 
@@ -301,6 +301,11 @@ class TestWidth:
     def test_invariant_under_involution(self, w, pos):
         pos %= len(w) + 1
         assert width(w[:pos] + (0, 0) + w[pos:]) == width(w)
+
+    @given(st.lists(st.integers(0, 1), max_size=60))
+    @settings(max_examples=500)
+    def test_matches_block_list_reference(self, w):
+        assert width(w) == reference_width(w)
 
 
 class TestCensus:

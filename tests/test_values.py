@@ -73,6 +73,17 @@ def test_copy_deepcopy_and_pickle_round_trip(value):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
 
 
+def test_table_deepcopy_shares_its_store():
+    table = word_table(I2, (0, 1), 3)
+    twin = copy.deepcopy(table)
+    assert twin == table and twin.store is table.store
+
+
+def test_table_refuses_to_pickle():
+    with pytest.raises(TypeError, match="^a table's node store is shared state and cannot be"):
+        pickle.dumps(word_table(I2, (0, 1), 3))
+
+
 def test_repr_names_the_fields():
     assert repr(GENERAL) == "General(eps1=1, exponents=(0, 2), tail=3, eps2=0)"
     assert repr(ONE) == "One()"
