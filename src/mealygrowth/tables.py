@@ -3,13 +3,19 @@
 A semigroup element is stored by its wreath recursion: a node is one
 flat tuple, the m images of the first letter, then the ids of the m
 section nodes one level down; state q of an automaton has the images
-``outputs[q]`` and the sections ``transitions[q]``.  Nodes are
-hash-consed, so equal elements of one level have one id, and the product
-is one recursion per level over the right factor's layout, precomputed
-once, and memoized per right factor: (h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).
-A BFS has a store of its own and keeps its own products as flat tuples, none
-interned, each formed at most once per parity.  A table holds its store: a
-store lives exactly as long as some table in it, and every live table shares it.
+``outputs[q]`` and the sections ``transitions[q]``.  Tables live in a
+store of hash-consed nodes, so equal elements of one level have one id,
+and the product is one recursion per level over the right factor's
+layout, precomputed once, and memoized per right factor:
+(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  A table holds its store: a
+store lives exactly as long as some table in it, and every live table
+shares it.
+
+``enumerate_monoid`` keeps its own products as flat tuples, none
+interned, each expanded at most once per parity.  A full closure builds
+every level below bottom-up as right Cayley lists, one per state, and
+forms each BFS depth in bulk from the lists one level down; a ball forms
+products in a store of its own, memoizing only the sections it meets.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import sys
 import weakref
 from array import array
-from itertools import zip_longest
+from itertools import count, filterfalse, repeat, zip_longest
 from operator import itemgetter
 
 from . import series
@@ -196,24 +202,74 @@ class GrowthLayers(Value):
         return self.cumulative[-1]
 
 
+def _right_products(nodes, row, below):
+    """h o t as a flat tuple for each h in ``nodes``, formed in bulk: state t has
+    the row (images, successors), and below[q][s] is the id of s o q one level
+    down.  (h o t)(xw) = h(t(x)) (h|t(x) o t|x)(w)."""
+    out, nxt = row
+    m = len(out)
+    return zip(*[map(itemgetter(y), nodes) for y in out],
+               *[map(below[q].__getitem__, map(itemgetter(m + y), nodes)) for y, q in zip(out, nxt)])
+
+
+def _right_cayley(a: MealyAutomaton, level: int) -> list[list[int]]:
+    """right[t][i] = id of element i o state t in the level quotient of ``a``'s
+    monoid; ids are dense, in BFS order from the identity, id 0.  Built
+    bottom-up: a level's elements and ids are dropped once the level above is."""
+    rows = list(zip(a.outputs, a.transitions))
+    ident = tuple(range(a.alphabet_size)) + (0,) * a.alphabet_size
+    right = [[0] for _ in rows]  # level 0 has one element, ()
+    for _ in range(level):
+        below, right = right, [[] for _ in rows]
+        ids, frontier = {ident: 0}, [ident]
+        while frontier:
+            new_frontier = []
+            for row, col in zip(rows, right):  # a frontier's products per state
+                prods = list(_right_products(frontier, row, below))
+                fresh = list(filterfalse(ids.__contains__, dict.fromkeys(prods)))
+                if len(ids) + len(fresh) > MAX_ELEMENTS:
+                    raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
+                ids.update(zip(fresh, count(len(ids))))
+                col += map(ids.__getitem__, prods)
+                new_frontier += fresh
+            frontier = new_frontier
+    return right
+
+
 def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None,
                      spheres: bool = True) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
-    The generators and the elements' sections are interned nodes of a store
-    local to this call, and an element is its flat node tuple, so equality
-    is exact.  When ``spheres`` is set, an element is expanded again when
-    first reached at the other length parity;
-    ``sphere_sizes`` is as described in ``GrowthLayers``.  Recording more
-    than ``MAX_ELEMENTS`` elements raises ``CapacityError``.
+    An element is its flat node tuple, so equality is exact.  A full closure
+    above level 0 (no ``max_depth``, as ``quotient`` runs it) meets every
+    element of every level below, so it builds their right Cayley lists
+    bottom-up (``_right_cayley``) and forms each depth's products from the
+    lists one level down in bulk.  A ball (``max_depth``, as the
+    stabilization oracle runs it) meets only the sections within its
+    radius, where every level below in full could be far over the cap, so
+    it forms products in a store local to this call, memoizing the sections
+    it meets.  When ``spheres`` is set, an element is expanded again when
+    first reached at the other length parity; ``sphere_sizes`` is as
+    described in ``GrowthLayers``.  Recording more than ``MAX_ELEMENTS``
+    elements, at any level, raises ``CapacityError``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     check_level(level)
-    store = _Store()
-    gen_factors = [store.factor(g) for g in store.states(a, level)]
-    ident = store.nodes[store.identity(a.alphabet_size, level)]
-    key = store.key  # the BFS's own products are neither memoized nor interned
+    if max_depth is None and level:  # level 0's one element () has no images to read
+        below = _right_cayley(a, level - 1)
+        gens = list(zip(a.outputs, a.transitions))
+        ident = tuple(range(a.alphabet_size)) + (0,) * a.alphabet_size
+
+        def products(frontier, row):
+            return _right_products(frontier, row, below)
+    else:
+        store = _Store()  # the BFS's own products are neither memoized nor interned
+        gens = [store.factor(g) for g in store.states(a, level)]
+        ident = store.nodes[store.identity(a.alphabet_size, level)]
+
+        def products(frontier, r):
+            return map(store.key, frontier, repeat(r))
     # bit p of seen[x]: x is the product of some word of a length of parity p
     seen = {ident: 1}
     frontier = [ident]
@@ -223,9 +279,8 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
         depth += 1
         bit = 1 << (depth & 1)
         new_frontier = []
-        for h in frontier:
-            for r in gen_factors:
-                prod = key(h, r)
+        for g in gens:
+            for prod in products(frontier, g):
                 bits = seen.get(prod)
                 if bits is None:
                     if len(seen) >= MAX_ELEMENTS:

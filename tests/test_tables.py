@@ -186,54 +186,58 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_monoid(I2, 6, spheres=False)
 
+    @staticmethod
+    def count_products(monkeypatch):
+        """Patch the bulk kernel to count the products it forms, grouped by the
+        right Cayley lists of the level below that they read."""
+        formed = {}  # id of the lists -> [lists, products formed over them]
+        products = tables._right_products
+
+        def counting(nodes, row, below):
+            record = formed.setdefault(id(below), [below, 0])  # holds below, so ids stay unique
+            for prod in products(nodes, row, below):
+                record[1] += 1
+                yield prod
+
+        monkeypatch.setattr(tables, "_right_products", counting)
+        return formed
+
     def test_element_cap_stops_within_a_layer(self, monkeypatch):
-        # the cap is checked as each element is recorded, not after a layer
+        # the cap is checked as each element of the top level, or each
+        # state's products of a depth below it, is recorded, not after a
+        # depth.  It is crossed in level 8's first depth past |S_7| elements,
+        # at the top (level 8) or one level below it (level 9).
         full = enumerate_monoid(I2, 8, spheres=False)
-        d = full.layer_sizes.index(max(full.layer_sizes))
+        d = 1 + next(i for i, n in enumerate(full.cumulative) if n > i2_quotient_order_formula(7))
         cap = full.cumulative[d - 1] + 5
         assert full.cumulative[d] > cap + 100
-        calls = 0
-        key = tables._Store.key
-
-        def counting_key(self, h_node, r):
-            nonlocal calls
-            calls += 1
-            return key(self, h_node, r)
-
-        monkeypatch.setattr(tables._Store, "key", counting_key)
-        counts = []
-        for depth in (d - 1, d):
-            calls = 0
-            enumerate_monoid(I2, 8, max_depth=depth, spheres=False)
-            counts.append(calls)
-        calls = 0
+        # I2 has 2 states: at level j, each element times each state once
+        below = 2 * sum(i2_quotient_order_formula(j) for j in range(1, 8))
+        before, through = below + 2 * full.cumulative[d - 2], below + 2 * full.cumulative[d - 1]
+        formed = self.count_products(monkeypatch)
         monkeypatch.setattr(tables, "MAX_ELEMENTS", cap)
-        with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
-            enumerate_monoid(I2, 8, spheres=False)
-        # each BFS has a fresh store, so the layers before d repeat exactly
-        before, through = counts
-        assert before < calls < before + (through - before) // 4
+        calls = []
+        for level in (8, 9):
+            formed.clear()
+            with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
+                enumerate_monoid(I2, level, spheres=False)
+            calls.append(sum(n for _, n in formed.values()))
+        top, lower = calls
+        # the top level stops within the first state's products of the depth
+        assert before < top < before + (through - before) // 2
+        # level 8 is built below level 9 one state's products at a time, so
+        # it stops before the depth is complete
+        assert before < lower < through
 
     def test_products_formed_at_level_11(self, monkeypatch):
-        # a faster kernel must not form fewer products: one top-level product
-        # per element and generator, and the memoized section products below
-        calls = top = depth = 0
-        key = tables._Store.key
-
-        def counting_key(self, h_node, r):
-            nonlocal calls, top, depth
-            calls += 1
-            top += depth == 0
-            depth += 1
-            try:
-                return key(self, h_node, r)
-            finally:
-                depth -= 1
-
-        monkeypatch.setattr(tables._Store, "key", counting_key)
+        # a faster kernel must not form fewer products: one per element and
+        # generator at every level, 86,020 at the top and 69,684 below
+        formed = self.count_products(monkeypatch)
         layers = enumerate_monoid(I2, 11, spheres=False)
         assert layers.element_count == 43_010
-        assert (calls, top) == (155_705, 2 * 43_010)
+        counts = [n for _, n in formed.values()]
+        assert counts == [2 * i2_quotient_order_formula(j) for j in range(1, 12)]
+        assert (counts[-1], sum(counts[:-1])) == (86_020, 69_684)
 
     @given(automaton_words(0), st.integers(0, 6), st.booleans())
     @settings(deadline=None)
@@ -245,6 +249,27 @@ class TestEnumeration:
             layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
         ) == reference_enumerate(ref_gens, max_depth=depth, spheres=spheres)
 
+    @given(st.data(), st.booleans())
+    @settings(deadline=None)
+    def test_full_closure_matches_reference(self, data, spheres):
+        # the bulk route; m**k <= 8 keeps the closures small (m**k = 9 can
+        # reach 137,743 elements)
+        a = data.draw(automata())
+        k = data.draw(st.sampled_from([k for k in range(5) if a.alphabet_size**k <= 8]))
+        layers = enumerate_monoid(a, k, spheres=spheres)
+        assert (
+            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
+        ) == reference_enumerate(reference_state_tables(a, k), spheres=spheres)
+
+    @pytest.mark.parametrize("spheres", [False, True])
+    def test_full_closure_matches_saturated_ball(self, spheres):
+        # the bulk and the memoized route check each other: a ball run past
+        # the saturation depth is the full closure
+        for k in range(11):
+            full = enumerate_monoid(I2, k, spheres=spheres)
+            ball = enumerate_monoid(I2, k, max_depth=len(full.cumulative), spheres=spheres)
+            assert full.saturated and full == ball
+
     def test_bfs_memory_is_freed_on_return(self):
         tracemalloc.start()
         try:
@@ -254,13 +279,12 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert layers.element_count == i2_quotient_order_formula(10)
-        assert peak - before > 5_000_000
-        assert after - before < 500_000
+        assert after - before < (peak - before) / 10
 
     def test_bfs_bytes_per_element(self):
-        # a memory guard, not a timing gate: flat nodes, parity bits, and BFS
-        # products kept as tuples, neither memoized nor interned, give about
-        # 275 B per element
+        # a memory guard, not a timing gate: the top level's flat tuples with
+        # their parity bits, over the right Cayley lists of the level below,
+        # give about 120 B per element
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -269,7 +293,7 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert layers.element_count == i2_quotient_order_formula(11) == 43_010
-        assert peak / layers.element_count < 310
+        assert peak / layers.element_count < 160
 
 
 class TestStabilizedOracle:
