@@ -52,15 +52,16 @@ _GROWTH_KEYS = ("n", "delta", "gamma", "gamma_ball", "q",
                 "delta_ratio", "gamma_ratio", "ball_ratio")
 
 
-def _growth_rows(delta, gamma, ball, q, blank):
-    """Rows of the growth table; each ratio divides the exact ints first.
+def _growth_rows(q, rows, blank):
+    """Rows of the growth table from ``growth_series``; each ratio divides the exact ints first.
 
     Python rounds an int / int true division correctly for ints of any size,
     so a ratio stays finite after q(n) passes the double range.
     """
     cw, ca, cb = series.WORD_QFORM, series.AUTOMATON_QFORM, series.BALL_QFORM
-    for n in range(1, len(q)):
-        d, g, b, qn = delta[n], gamma[n], ball[n], q[n]
+    next(rows)  # n = 0 is not printed
+    for n, (d, g, b) in enumerate(rows, 1):
+        qn = q[n]
         if qn:
             yield (n, d, g, b, qn, round(d / qn / (cw * math.sqrt(n)), 6),
                    round(g / qn / (ca * n), 6), round(b / qn / (cb * n), 6))
@@ -73,9 +74,8 @@ def cmd_growth(args) -> int:
     if args.oracle and args.N >= 1:  # first: an oversized request fails before any series
         keys += ("oracle_gamma", "oracle_ball")
         oracle = tables.stabilized_growth_table(mealy.I2, args.N)[1:]
-    q, delta, gamma, ball = series.growth_series(args.N)
-    rows = _growth_rows(delta, gamma, ball, q, _text("", args.format))
-    # every series and the oracle are computed and checked: only formatting is left
+    rows = _growth_rows(*series.growth_series(args.N), _text("", args.format))
+    # every row and the oracle are checked; the rows are derived again as they print
     _emit_rows(keys, map(add, rows, oracle) if oracle else rows, args.format)
     return 0
 

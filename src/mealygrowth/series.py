@@ -15,13 +15,14 @@ point modulo random primes in one O(N) pass.  It is probabilistic: it
 misses a wrong q with probability below 1e-24, where the exact O(N^1.5)
 product it replaces could not miss.  Only when the fingerprint fails does
 the exact product run, once, to name the first wrong q(n).
-Each growth series is derived once from q, and every coefficient is
-confirmed against a closed partition formula; a disagreement raises
-``VerificationError``.  ``growth_series`` does all of this in one call and
-returns q and the three series as new lists: nothing is cached, so nothing
-outlives the caller's use.  The q-form constants below are what the CLI's
-ratio columns divide the exact counts by; the closed main terms in n alone
-are ``AsymptoteSpec``s, compared with exact counts through ``log_evaluate``.
+The growth series are never held: one streamed pass derives their rows
+from q by recurrences and confirms each against closed partition formulas;
+a disagreement raises ``VerificationError``.  ``growth_series`` does all of
+this in one call and returns q with the rows derived again, lazily, by the
+same function: nothing is cached, and q is the one list held.  The q-form
+constants below are what the CLI's ratio columns divide the exact counts
+by; the closed main terms in n alone are ``AsymptoteSpec``s, compared with
+exact counts through ``log_evaluate``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from operator import add, mul, sub
 from .errors import CapacityError, Value, VerificationError
 
 PI = math.pi
-#: largest N for q(0..N): the Durfee sum is O(N^1.5) in time and holds a few
-#: lists of N+1 big ints; its fingerprint check is O(N) and holds one slice of q
+#: largest N for q(0..N): the Durfee sum is O(N^1.5) in time and holds q and one
+#: residue class of new ints; its fingerprint check is O(N) and holds one slice of q
 MAX_N = 10**6
 #: exponent coefficient shared by all three growth asymptotics: exp(b sqrt(n))
 BETA = PI / math.sqrt(6)
@@ -53,16 +54,6 @@ def multiply_sparse(c: list[int], terms) -> list[int]:
             raise ValueError("exponents must be non-negative")
         scaled = c if a in (1, -1) else map(mul, repeat(abs(a)), c)  # +-1: no multiply
         out[e:] = map(add if a > 0 else sub, out[e:], scaled)
-    return out
-
-
-def divide_one_minus_xk(c: list[int], k: int) -> list[int]:
-    """Multiply by 1/(1 - X^k): a running sum over each residue class mod k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = list(c)
-    for r in range(k):
-        out[r::k] = accumulate(out[r::k])
     return out
 
 
@@ -86,12 +77,16 @@ def _durfee_sum(N: int) -> list[int]:
     The sum is evaluated nested, innermost term first: T_M = 1 and
     T_(m-1) = 1 + X^(2m-1) T_m / (1 - X^(2m)), so q = T_0.  T_m enters q
     times X^(m^2), so it is held only through X^(N-m^2): each m costs one
-    running-sum pass over N+1-m^2 entries, and no pass adds terms up.
+    running-sum pass over N+1-m^2 entries, and no pass adds terms up.  Each
+    pass shifts T_m in place, then sums each residue class mod 2m of the
+    shifted part in place, so it holds at most one class of new ints.
     """
     M = math.isqrt(N)
     t = [1] + [0] * (N - M * M)
-    for m in range(M, 0, -1):
-        t = [1] + [0] * (2 * m - 2) + divide_one_minus_xk(t, 2 * m)
+    for k in range(2 * M, 0, -2):  # k = 2m
+        t[:0] = [1] + [0] * (k - 2)
+        for r in range(k - 1, min(2 * k - 1, len(t))):
+            t[r::k] = accumulate(t[r::k])
     return t
 
 
@@ -206,53 +201,57 @@ def odd_distinct_partitions(N: int) -> list[int]:
 
 # --- growth coefficients --------------------------------------------------
 
-def growth_series(N: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """q, Delta, Gamma and Gamma_S through X^N, each confirmed, as new lists.
+def _derive_rows(q: list[int]):
+    """Yield (delta(n), gamma(n), gamma_S(n)) for n < len(q) by the series' recurrences.
 
-    Delta = (1+X)(1 + X/(1-X) Psi(X)), Gamma = Delta/(1-X^2) and
-    Gamma_S = Delta/(1-X), each derived once from q.  Every coefficient of
-    each is confirmed against its closed partition formula before the
-    series are returned.
-    """
+    core(n) = [n=0] + sum_{i<n} q(i), delta(n) = core(n) + core(n-1), gamma(n) =
+    delta(n) + gamma(n-2) and gamma_S(n) = gamma_S(n-1) + delta(n); only scalars are held."""
+    core, prev, s, g1, g2, ball = 1, 0, 0, 0, 0, 0  # g1, g2: gamma(n-1), gamma(n-2)
+    for qn in q:
+        delta = core + prev
+        g1, g2 = delta + g2, g1
+        ball += delta
+        yield delta, g1, ball
+        s += qn
+        core, prev = s, core
+
+
+def growth_series(N: int):
+    """q(0..N) and an iterator over the rows (delta(n), gamma(n), gamma_S(n)) for n <= N.
+
+    Delta = (1+X)(1 + X/(1-X) Psi(X)), Gamma = Delta/(1-X^2) and Gamma_S = Delta/(1-X).
+    One pass of ``_derive_rows`` over the confirmed q compares each row with the closed
+    formulas and raises ``VerificationError`` naming the first series and n that differ.
+    The rows returned are derived again, lazily, by the same function: only q is held."""
     q = odd_distinct_partitions(N)
-    # 1 + X/(1-X) Psi(X): the common factor of all three series
-    core = divide_one_minus_xk(multiply_sparse(q, [(1, 1)]), 1)
-    core[0] += 1
-    delta = multiply_sparse(core, [(0, 1), (1, 1)])
-    gamma, ball = divide_one_minus_xk(delta, 2), divide_one_minus_xk(delta, 1)
-    derived = (delta, gamma, ball)
-
     s0 = s1 = 0  # sums of q(i) and of i*q(i) over i < n
-    for n in range(N + 1):
+    for n, row in enumerate(_derive_rows(q)):
         closed = (
             # delta(n) = q(n-1) + 2 sum_{i<=n-2} q(i) for n >= 2; 1, 2 below
             2 * s0 - q[n - 1] if n >= 2 else n + 1,
             1 + n * s0 - s1,
             2 + (2 * n - 1) * s0 - 2 * s1 if n else 1,
         )
-        for name, coeffs, value in zip(("Delta", "Gamma", "Gamma_S"), derived, closed):
-            if coeffs[n] != value:
-                raise VerificationError(
-                    f"{name}: series route disagrees with the closed form at n={n}"
-                )
-        s0 += q[n]
-        s1 += n * q[n]
-    return q, delta, gamma, ball
+        if row != closed:
+            name = ("Delta", "Gamma", "Gamma_S")[next(i for i in range(3) if row[i] != closed[i])]
+            raise VerificationError(f"{name}: series route disagrees with the closed form at n={n}")
+        s0, s1 = s0 + q[n], s1 + n * q[n]
+    return q, _derive_rows(q)
 
 
 def word_growth_coeffs(N: int) -> list[int]:
     """delta(0..N): number of elements of minimal length exactly n."""
-    return growth_series(N)[1]
+    return [delta for delta, _, _ in growth_series(N)[1]]
 
 
 def automaton_growth_coeffs(N: int) -> list[int]:
     """Gamma(0..N): distinct products of exactly n generators, Delta/(1-X^2)."""
-    return growth_series(N)[2]
+    return [gamma for _, gamma, _ in growth_series(N)[1]]
 
 
 def ball_growth_coeffs(N: int) -> list[int]:
     """gamma_S(0..N): distinct products of at most n generators, Delta/(1-X)."""
-    return growth_series(N)[3]
+    return [ball for _, _, ball in growth_series(N)[1]]
 
 
 # --- asymptotics ----------------------------------------------------------

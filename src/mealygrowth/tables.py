@@ -308,8 +308,8 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
     Level k's counts equal the monoid's through radius 2k-1 and first
     differ at radius 2k (checked for k <= 21), so floor(nmax/2)+1 is the
     least level that serves every n <= nmax.  The BFS never reads the
-    series; each row and the depth's new elements are then compared with
-    (gamma(n), gamma_S(n), delta(n)), and ``VerificationError`` names the
+    series; each depth's new elements and row are then compared with
+    (delta(n), gamma(n), gamma_S(n)), and ``VerificationError`` names the
     first radius where they differ.  A level too shallow merges elements,
     so its counts fall below the true ones, and the comparison catches
     that.  The level rule comes from I2's normal forms, and the BFS spheres
@@ -321,13 +321,13 @@ def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int
     if nmax < 1:
         raise ValueError("radius must be >= 1")
     check_level(nmax // 2 + 1)  # before the series, which grows with nmax
-    _, delta, gamma, ball = series.growth_series(nmax)
-    if ball[nmax] > MAX_ELEMENTS:  # the BFS would store that many elements
-        raise CapacityError(f"element count {ball[nmax]} exceeds cap {MAX_ELEMENTS}")
+    wants = list(series.growth_series(nmax)[1])  # (delta, gamma, gamma_S) by radius
+    if wants[-1][2] > MAX_ELEMENTS:  # the BFS would store that many elements
+        raise CapacityError(f"element count {wants[-1][2]} exceeds cap {MAX_ELEMENTS}")
     # I2 has new elements at every radius, so the run reaches depth nmax
     layers = enumerate_monoid(a, nmax // 2 + 1, max_depth=nmax)
-    rows = zip(layers.sphere_sizes, layers.cumulative, layers.layer_sizes)
-    for n, (row, want) in enumerate(zip_longest(rows, zip(gamma, ball, delta))):
+    rows = zip(layers.layer_sizes, layers.sphere_sizes, layers.cumulative)
+    for n, (row, want) in enumerate(zip_longest(rows, wants)):
         if row != want:
             raise VerificationError(f"BFS growth counts disagree with the series at radius {n}")
     return list(zip(layers.sphere_sizes, layers.cumulative))

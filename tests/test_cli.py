@@ -82,8 +82,9 @@ class TestGrowth:
     def test_ratios_past_the_double_range(self, capsys, monkeypatch):
         # q(n) passes 1.8e308 near n = 305,000; float(q(n)) would overflow there
         big = 10**400
-        monkeypatch.setattr(series, "growth_series", lambda N: tuple(
-            [f * big + n for n in range(N + 1)] for f in (1, 3, 5, 10)))
+        monkeypatch.setattr(series, "growth_series", lambda N: (
+            [big + n for n in range(N + 1)],
+            (tuple(f * big + n for f in (3, 5, 10)) for n in range(N + 1))))
         code, out, err = run(capsys, "growth", "--N", "3", "--format", "json")
         assert (code, err) == (0, "")
         rows = [json.loads(line) for line in out.splitlines()]
@@ -102,8 +103,8 @@ class _Discard(io.TextIOBase):
 
 def test_growth_streams_its_rows(monkeypatch):
     # a memory guard, not a timing gate: the command's peak against its peak
-    # once the four series are computed, before any output.
-    # Holding N row dicts before printing peaked at 1.95x; streaming, 1.36x
+    # once q is computed and every row checked, before any output.
+    # Holding N row dicts before printing peaked at 1.95x; streaming peaks at 1.0x
     growth_series = series.growth_series
     series_peaks = []
 
@@ -139,20 +140,20 @@ def test_growth_keeps_no_memory(monkeypatch):
     assert kept < 1_000_000
 
 
-# Run under ``python -O``: the route check must not be an assert.
+# Run under ``python -O``: the route check must not be an assert.  argv[1]
+# names the series whose row at n = 20 the derivation gets wrong.
 _FORCED_DISAGREEMENT = """
 import sys
 from mealygrowth import VerificationError, cli, series
 
-divide = series.divide_one_minus_xk
+derive = series._derive_rows
+column = ("Delta", "Gamma", "Gamma_S").index(sys.argv[1])
 
-def off_by_one(c, k):
-    out = divide(c, k)
-    if k == 2 and len(c) == 21:  # Gamma's division; the Durfee sum's has 20 entries
-        out[-1] += 1
-    return out
+def off_by_one(q):
+    for n, row in enumerate(derive(q)):
+        yield tuple(c + (n == 20 and i == column) for i, c in enumerate(row))
 
-series.divide_one_minus_xk = off_by_one
+series._derive_rows = off_by_one
 try:
     series.automaton_growth_coeffs(20)
 except VerificationError as exc:
@@ -161,17 +162,18 @@ sys.exit(cli.main(["growth", "--N", "20"]))
 """
 
 
-def test_route_disagreement_fails_under_optimize():
+@pytest.mark.parametrize("name", ["Delta", "Gamma", "Gamma_S"])
+def test_route_disagreement_fails_under_optimize(name):
     src = Path(mealygrowth.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FORCED_DISAGREEMENT],
+        [sys.executable, "-O", "-c", _FORCED_DISAGREEMENT, name],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stdout == "raised: Gamma: series route disagrees with the closed form at n=20\n"
+    assert proc.stdout == f"raised: {name}: series route disagrees with the closed form at n=20\n"
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: Gamma: series route disagrees with the closed form at n=20"
+        f"error: {name}: series route disagrees with the closed form at n=20"
     ]
 
 

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -23,10 +25,13 @@ from mealygrowth.series import (
     AUTOMATON_ASYMPTOTE,
     BALL_ASYMPTOTE,
     Q_ASYMPTOTE,
-    divide_one_minus_xk,
     multiply_sparse,
 )
-from reference_series import reference_odd_distinct_partitions
+from reference_series import (
+    divide_one_minus_xk,
+    reference_growth_rows,
+    reference_odd_distinct_partitions,
+)
 
 
 def euler_product(N, k):
@@ -97,6 +102,14 @@ class TestPartitions:
     @pytest.mark.parametrize("N", sorted({m * m + d for m in range(1, 26) for d in (-1, 0, 1)}))
     def test_agrees_with_reference_at_term_offsets(self, N):
         assert odd_distinct_partitions(N) == reference_odd_distinct_partitions(N)
+
+    def test_durfee_sum_at_residue_boundaries(self):
+        # each in-place pass starts its residue classes at X^(m^2) of q: check N = 0..200
+        # and either side of every m^2 through 2000
+        reference = reference_odd_distinct_partitions(2001)
+        boundaries = {m * m + d for m in range(1, 45) for d in (-1, 0, 1)}
+        for N in sorted(boundaries.union(range(201))):
+            assert series._durfee_sum(N) == reference[: N + 1]
 
     @given(st.integers(0, 400))
     @settings(max_examples=30)
@@ -184,6 +197,28 @@ class TestGrowthCoefficients:
         # sphere counts inside the ball
         assert all(g <= b for g, b in zip(gamma, ball))
 
+    def test_streamed_rows_equal_the_list_route(self):
+        q = reference_odd_distinct_partitions(300)
+        for N in range(301):
+            assert list(series._derive_rows(q[: N + 1])) == reference_growth_rows(q[: N + 1])
+
+    def test_growth_series_holds_one_list(self):
+        # a memory guard: the Durfee sum and the checks hold q and a fraction of it
+        # (5.8x q when the four series were lists), and the result holds q alone.
+        # An int made by an addition keeps the spare digit it was allocated with,
+        # 4 bytes that sys.getsizeof does not count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            q, rows = growth_series(20000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        q_bytes = sys.getsizeof(q) + sum(map(sys.getsizeof, q))
+        assert peak - before < 2 * q_bytes
+        assert held - before < 1.1 * q_bytes
+        assert next(rows) == (1, 1, 1)
+
     def test_parity_sum(self):
         delta = word_growth_coeffs(40)
         gamma = automaton_growth_coeffs(40)
@@ -204,7 +239,8 @@ class TestAsymptotes:
 
     def test_qform_matches_exact_at_1000(self):
         n = 1000
-        q, _, _, ball = growth_series(n)
+        q, rows = growth_series(n)
+        ball = [b for _, _, b in rows]
         assert ball[n] / q[n] / (series.BALL_QFORM * n) == pytest.approx(1.0, abs=0.05)
 
     def test_closed_form_matches_qform_through_q_asymptote(self):

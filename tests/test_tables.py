@@ -351,14 +351,13 @@ class TestStabilizedOracle:
     def test_level_rule_is_tight(self):
         # level nmax//2 + 1 matches gamma, gamma_S and delta through nmax, and
         # level nmax//2 does not: level k first differs at radius 2k (k >= 1)
-        _, delta, gamma, ball = growth_series(43)
+        wants = [(gamma, ball, delta) for delta, gamma, ball in growth_series(43)[1]]
         first_differs = []
         for k in range(22):
             layers = enumerate_monoid(I2, k, max_depth=2 * k + 1)
             rows = zip(layers.sphere_sizes, layers.cumulative, layers.layer_sizes)
             first_differs.append(next(
-                n for n, (row, want) in enumerate(zip(rows, zip(gamma, ball, delta)))
-                if row != want))
+                n for n, (row, want) in enumerate(zip(rows, wants)) if row != want))
         assert first_differs == [1] + [2 * k for k in range(1, 22)]
         for nmax in range(1, 41):
             assert first_differs[nmax // 2 + 1] > nmax >= first_differs[nmax // 2]
