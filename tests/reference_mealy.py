@@ -2,9 +2,9 @@
 
 Every round recomputes the signature (own block, successor blocks) of
 every state and renumbers the blocks by first occurrence, until a round
-leaves the numbering unchanged.  This is the route ``mealygrowth.mealy``
-took before ``minimize`` became a worklist refinement; tests compare the
-two.
+leaves the numbering unchanged.  ``mealygrowth.mealy`` minimizes by
+Hopcroft's partition refinement instead (``mealy._refine``, behind
+``minimize`` and ``automaton_growth``); tests compare the two routes.
 """
 
 from __future__ import annotations

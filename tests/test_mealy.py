@@ -1,6 +1,7 @@
 """Tests for the generic Mealy automaton layer."""
 
 import itertools
+import random
 import re
 import tracemalloc
 
@@ -47,6 +48,19 @@ def automata(max_states=4, m=2):
 
 
 words = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+
+
+def copied_automaton(rng, n, m, k):
+    """n states over m letters whose state q copies state q % k of a random
+    k-state automaton: its successors are copies of that state's successors.
+    Each output row is one of two, so the output blocks are large; a small
+    k gives classes of about n / k states, and k near n few or none."""
+    rows = ((0,) * m, (m - 1,) + (0,) * (m - 1))
+    outs = [rng.choice(rows) for _ in range(k)]
+    trans = [[rng.randrange(k) for _ in range(m)] for _ in range(k)]
+    return MealyAutomaton(m, tuple(
+        tuple(t + k * rng.randrange((n - 1 - t) // k + 1) for t in trans[q % k]) for q in range(n)
+    ), tuple(outs[q % k] for q in range(n)))
 
 
 class TestApply:
@@ -196,6 +210,27 @@ class TestMinimize:
         p = power(a, k)
         assert format_automaton(minimize(p)) == format_automaton(reference_minimize(p))
 
+    @pytest.mark.parametrize("seed", range(18))
+    def test_large_blocks_match_moore_reference(self, seed):
+        # blocks of tens to hundreds of states: multi-way splits, splitters that
+        # split themselves and wholly marked blocks; labels are compared too
+        rng = random.Random(seed)
+        m, n = seed % 3 + 1, rng.randint(50, 400)
+        a = copied_automaton(rng, n, m, rng.choice((n, rng.randint(2, 40), rng.randint(n // 2, n))))
+        assert format_automaton(minimize(a)) == format_automaton(reference_minimize(a))
+
+    @pytest.mark.parametrize("a,count", [
+        (MealyAutomaton(2, ((0, 0),), ((1, 0),)), 1),  # a single state
+        (copied_automaton(random.Random(1), 300, 2, 1), 1),  # all states equivalent
+        # a cycle with one marked state: all 200 states distinct
+        (MealyAutomaton(2, tuple(((q + 1) % 200, q) for q in range(200)),
+                        ((1, 0),) + ((0, 0),) * 199), 200),
+        (copied_automaton(random.Random(2), 300, 1, 300), 1),  # one letter
+    ], ids=["single", "all-equivalent", "all-distinct", "one-letter"])
+    def test_fixed_shapes_match_moore_reference(self, a, count):
+        assert minimize(a).state_count == count
+        assert format_automaton(minimize(a)) == format_automaton(reference_minimize(a))
+
 
 class TestGrowth:
     def test_i2_prefix(self):
@@ -233,8 +268,9 @@ class TestGrowth:
         assert automaton_growth(a, N) == expected
 
     def test_memory_at_40(self):
-        # a memory guard, not a timing gate: columns and int signatures peak
-        # at about 3.3 MiB; per-power automata with labels peaked at 4.76 MiB
+        # a memory guard, not a timing gate: the columns with the refinement's
+        # block arrays and predecessor lists peak at about 2.7 MiB; per-power
+        # automata with labels peaked at 4.76 MiB
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
