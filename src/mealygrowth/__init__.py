@@ -43,7 +43,6 @@ from .series import (
     ball_growth_coeffs,
     growth_series,
     odd_distinct_partitions,
-    word_growth_coeffs,
 )
 from .tables import (
     GrowthLayers,

@@ -239,11 +239,6 @@ def growth_series(N: int):
     return q, _derive_rows(q)
 
 
-def word_growth_coeffs(N: int) -> list[int]:
-    """delta(0..N): number of elements of minimal length exactly n."""
-    return [delta for delta, _, _ in growth_series(N)[1]]
-
-
 def automaton_growth_coeffs(N: int) -> list[int]:
     """Gamma(0..N): distinct products of exactly n generators, Delta/(1-X^2)."""
     return [gamma for _, gamma, _ in growth_series(N)[1]]

@@ -3,19 +3,19 @@
 A semigroup element is stored by its wreath recursion: a node is one
 flat tuple, the m images of the first letter, then the ids of the m
 section nodes one level down; state q of an automaton has the images
-``outputs[q]`` and the sections ``transitions[q]``.  Tables live in a
-store of hash-consed nodes, so equal elements of one level have one id,
-and the product is one recursion per level over the right factor's
-layout, precomputed once, and memoized per right factor:
-(h o g)(xw) = h(g(x)) (h|g(x) o g|x)(w).  A table holds its store: a
-store lives exactly as long as some table in it, and every live table
+``outputs[q]`` and the sections ``transitions[q]``.  Every product
+multiplies on the right by a state, (h o t)(xw) = h(t(x)) (h|t(x) o t|x)(w),
+so at each level the id of h o t is read from t's right Cayley map one
+level down.  A store interns nodes per level, so equal elements of one
+level have one id, and fills its maps on demand.  A table holds its store:
+a store lives exactly as long as some table in it, and every live table
 shares it.
 
 ``enumerate_monoid`` keeps its own products as flat tuples, none
-interned, each expanded at most once per parity.  A full closure builds
-every level below bottom-up as right Cayley lists, one per state, and
-forms each BFS depth in bulk from the lists one level down; a ball forms
-products in a store of its own, memoizing only the sections it meets.
+interned, each expanded at most once per parity, and forms each BFS depth
+in bulk from the maps one level down.  A full closure builds every level
+below bottom-up as dense right Cayley lists; a ball reads the maps of a
+store of its own, which hold only the sections it meets.
 """
 
 from __future__ import annotations
@@ -24,88 +24,80 @@ import math
 import sys
 import weakref
 from array import array
-from itertools import count, filterfalse, repeat, zip_longest
-from operator import itemgetter
+from itertools import count, filterfalse, zip_longest
+from operator import getitem, itemgetter
 
 from . import series
 from .errors import CapacityError, Value, VerificationError
 from .mealy import I2, MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
-# _Store.key and _Store.factor recurse once per level
+# a right map's miss recurses once per level, at three frames of the recursion limit
 MAX_LEVEL = sys.getrecursionlimit() // 4
 
 
+def _intern(level: tuple[list, dict], node: tuple[int, ...]) -> int:
+    nodes, ids = level
+    i = ids.setdefault(node, len(nodes))
+    if i == len(nodes):
+        nodes.append(node)
+    return i
+
+
+def _getter(indices: list[int]) -> itemgetter:
+    """itemgetter of ``indices`` that returns a tuple, also for one index."""
+    i = indices[0]
+    return itemgetter(*indices) if len(indices) > 1 else itemgetter(slice(i, i + 1))
+
+
+class _Right(dict):
+    """id h -> id of h o t at one level, for one state t.  A miss forms h o t
+    from t's images and the maps of t's sections one level down, then
+    interns it."""
+
+    __slots__ = ("level", "images", "sections", "below")
+
+    def __init__(self, level: tuple[list, dict], out, below: list):
+        self.level, self.below = level, below
+        self.images, self.sections = _getter(out), _getter([len(out) + y for y in out])
+
+    def __missing__(self, h: int) -> int:
+        node = self.level[0][h]
+        sections = map(getitem, self.below, self.sections(node))
+        p = self[h] = _intern(self.level, self.images(node) + tuple(sections))
+        return p
+
+
 class _Store:
-    """Interned wreath nodes: id -> images + sections, flat; the tuple is
-    also the node's key in ``ids``.  Id 0 is the level-0 node ().  Right
-    factor r of g: products[r] = {h: h o g}, and factors[r] = (gather, pairs)
-    with gather(h's tuple) = (h(g(x)) for each letter x), pairs = ((index of
-    h|g(x) in h's tuple, factor of g|x) for each x).  ``key`` forms h o g's
-    tuple; ``compose`` memoizes and interns it, but a BFS keeps its own
-    products as ``key`` tuples and interns none of them."""
+    """Interned wreath nodes, one id space per level: ``levels[j]`` is
+    (nodes, ids), id -> flat tuple and back, and level 0's () has id 0.
+    ``maps`` holds each automaton's right Cayley maps, one per level and
+    state, keyed by its transitions and outputs, so labels do not matter."""
 
     def __init__(self):
-        self.nodes: list[tuple[int, ...]] = []
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.factor_ids: dict[int, int] = {}
-        self.factors: list[tuple[itemgetter, tuple[tuple[int, int], ...]]] = []
-        self.products: list[dict[int, int]] = []
-        self.intern(())
+        self.levels: list[tuple[list, dict]] = [([()], {(): 0})]
+        self.maps: dict[tuple, list[list]] = {}
 
-    def intern(self, node: tuple[int, ...]) -> int:
-        i = self.ids.get(node)
-        if i is None:
-            i = self.ids[node] = len(self.nodes)
-            self.nodes.append(node)
-        return i
+    def level(self, j: int) -> tuple[list, dict]:
+        while len(self.levels) <= j:
+            self.levels.append(([], {}))
+        return self.levels[j]
 
-    def factor(self, g: int) -> int:
-        """Dense index of node ``g`` as a right factor; its sections get one first."""
-        if g not in self.factor_ids:
-            node = self.nodes[g]
-            m = len(node) // 2
-            images, factors = node[:m], map(self.factor, node[m:])
-            # images = range(m) if m < 2: itemgetter() raises, itemgetter(0) returns no tuple
-            gather = itemgetter(*images) if m > 1 else itemgetter(slice(m))
-            self.factors.append((gather, tuple(zip([m + y for y in images], factors))))
-            self.factor_ids[g] = len(self.products)
-            self.products.append({})
-        return self.factor_ids[g]
-
-    def key(self, h_node: tuple[int, ...], r: int) -> tuple[int, ...]:
-        """Flat tuple of h o g, not interned, where r = factor(g): apply g first."""
-        gather, pairs = self.factors[r]
-        key = [*gather(h_node)]
-        for i, s in pairs:
-            hs, memo = h_node[i], self.products[s]
-            p = memo.get(hs)
-            if p is None:  # a memo hit makes no call
-                p = memo[hs] = self.intern(self.key(self.nodes[hs], s))
-            key.append(p)
-        return tuple(key)
-
-    def compose(self, h: int, r: int) -> int:
-        memo = self.products[r]
-        node = memo.get(h)
-        if node is None:
-            node = memo[h] = self.intern(self.key(self.nodes[h], r))
-        return node
-
-    def states(self, a: MealyAutomaton, k: int) -> list[int]:
-        """Level-k node of every state of ``a``, built level by level."""
-        rows = list(zip(a.outputs, a.transitions))
-        nodes = [0] * a.state_count
-        for _ in range(k):
-            nodes = [self.intern(tuple(out) + tuple([nodes[s] for s in nxt]))
-                     for out, nxt in rows]
-        return nodes
+    def right(self, a: MealyAutomaton, k: int) -> list[_Right]:
+        """right(a, k)[t][h] = id of h o t at level k, for each state t of ``a``."""
+        # at level 0, () o t = ()
+        maps = self.maps.setdefault((a.transitions, a.outputs), [[[0]] * a.state_count])
+        for j in range(len(maps), k + 1):
+            below = maps[-1]
+            maps.append([_Right(self.level(j), out, [below[q] for q in nxt])
+                         for out, nxt in zip(a.outputs, a.transitions)])
+        return maps[k]
 
     def identity(self, m: int, k: int) -> int:
         """Level-k identity node over ``m`` letters."""
         node = 0
-        for _ in range(k):
-            node = self.intern(tuple(range(m)) + (node,) * m)
+        for j in range(1, k + 1):
+            node = _intern(self.level(j), tuple(range(m)) + (node,) * m)
         return node
 
     def __deepcopy__(self, memo):  # shared state: a deep-copied table views the same nodes
@@ -137,11 +129,11 @@ class TransformTable(Value):
         k, m = self.level, self.alphabet_size
         if k * math.log2(m) > 24:  # the array has m**k entries
             raise CapacityError(f"level {k} over alphabet {m} exceeds packing capacity")
-        nodes, layers = self.store.nodes, [{self.node}]
-        for _ in range(k):  # layers[i] holds the nodes at level k - i
-            layers.append({s for h in layers[-1] for s in nodes[h][m:]})
+        levels, layers = self.store.levels, [{self.node}]
+        for j in range(k, 0, -1):  # layers[i] holds the ids at level k - i
+            layers.append({s for h in layers[-1] for s in levels[j][0][h][m:]})
         words, chunk = {0: [0]}, 1  # each node's packed outputs, from level 1 up
-        for layer in reversed(layers[:-1]):
+        for (nodes, _), layer in zip(levels[1:], reversed(layers[:-1])):
             words = {
                 h: [y * chunk + v for y, s in zip(nodes[h][:m], nodes[h][m:]) for v in words[s]]
                 for h in layer
@@ -174,12 +166,12 @@ def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     if store is None:
         store = _Store()
         _live_store = weakref.ref(store)
-    result = store.identity(a.alphabet_size, k)
-    states = [store.factor(s) for s in store.states(a, k)]
-    # rightmost factor acts first: the left-to-right fold gives f_q0 o f_q1 o ...
+    right = store.right(a, k)
+    h = store.identity(a.alphabet_size, k)
+    # rightmost factor acts first: the left-to-right walk gives f_q0 o f_q1 o ...
     for q in word:
-        result = store.compose(result, states[q])
-    return TransformTable(k, a.alphabet_size, result, store)
+        h = right[q][h]
+    return TransformTable(k, a.alphabet_size, h, store)
 
 
 class GrowthLayers(Value):
@@ -240,36 +232,33 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
                      spheres: bool = True) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
-    An element is its flat node tuple, so equality is exact.  A full closure
-    above level 0 (no ``max_depth``, as ``quotient`` runs it) meets every
-    element of every level below, so it builds their right Cayley lists
-    bottom-up (``_right_cayley``) and forms each depth's products from the
-    lists one level down in bulk.  A ball (``max_depth``, as the
-    stabilization oracle runs it) meets only the sections within its
-    radius, where every level below in full could be far over the cap, so
-    it forms products in a store local to this call, memoizing the sections
-    it meets.  When ``spheres`` is set, an element is expanded again when
-    first reached at the other length parity; ``sphere_sizes`` is as
-    described in ``GrowthLayers``.  Recording more than ``MAX_ELEMENTS``
-    elements, at any level, raises ``CapacityError``.
+    An element is its flat node tuple, so equality is exact, and each depth's
+    products are formed in bulk from the right Cayley maps one level down.
+    A full closure (no ``max_depth``, as ``quotient`` runs it) meets every
+    element of every level below, so it builds their dense lists bottom-up
+    (``_right_cayley``).  A ball (``max_depth``, as the stabilization oracle
+    runs it) meets only the sections within its radius, where every level
+    below in full could be far over the cap, so it reads the lazy maps of a
+    store local to this call.  When ``spheres`` is set, an element is
+    expanded again when first reached at the other length parity;
+    ``sphere_sizes`` is as described in ``GrowthLayers``.  Recording more
+    than ``MAX_ELEMENTS`` elements, at any level, raises ``CapacityError``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     check_level(level)
-    if max_depth is None and level:  # level 0's one element () has no images to read
+    # level 0's () has no images to read; a one-letter automaton with as many
+    # states has the same one-element quotient at level 1
+    if not level:
+        a, level = MealyAutomaton(1, ((0,),) * a.state_count, ((0,),) * a.state_count), 1
+    gens = list(zip(a.outputs, a.transitions))
+    ident = tuple(range(a.alphabet_size)) + (0,) * a.alphabet_size  # id 0: identity below
+    if max_depth is None:
         below = _right_cayley(a, level - 1)
-        gens = list(zip(a.outputs, a.transitions))
-        ident = tuple(range(a.alphabet_size)) + (0,) * a.alphabet_size
-
-        def products(frontier, row):
-            return _right_products(frontier, row, below)
     else:
         store = _Store()  # the BFS's own products are neither memoized nor interned
-        gens = [store.factor(g) for g in store.states(a, level)]
-        ident = store.nodes[store.identity(a.alphabet_size, level)]
-
-        def products(frontier, r):
-            return map(store.key, frontier, repeat(r))
+        store.identity(a.alphabet_size, level - 1)  # first at every level, so id 0
+        below = store.right(a, level - 1)
     # bit p of seen[x]: x is the product of some word of a length of parity p
     seen = {ident: 1}
     frontier = [ident]
@@ -280,7 +269,7 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
         bit = 1 << (depth & 1)
         new_frontier = []
         for g in gens:
-            for prod in products(frontier, g):
+            for prod in _right_products(frontier, g, below):
                 bits = seen.get(prod)
                 if bits is None:
                     if len(seen) >= MAX_ELEMENTS:

@@ -18,7 +18,6 @@ from mealygrowth import (
     growth_series,
     odd_distinct_partitions,
     series,
-    word_growth_coeffs,
 )
 from mealygrowth.errors import VerificationError
 from mealygrowth.series import (
@@ -173,7 +172,7 @@ class TestFingerprint:
 
 class TestGrowthCoefficients:
     def test_word_growth_prefix(self):
-        assert word_growth_coeffs(9) == [1, 2, 3, 4, 5, 7, 9, 11, 13, 16]
+        assert [d for d, _, _ in growth_series(9)[1]] == [1, 2, 3, 4, 5, 7, 9, 11, 13, 16]
 
     def test_automaton_growth_prefix(self):
         assert automaton_growth_coeffs(6)[1:] == [2, 4, 6, 9, 13, 18]
@@ -182,13 +181,13 @@ class TestGrowthCoefficients:
         assert ball_growth_coeffs(5) == [1, 3, 6, 10, 15, 22]
 
     def test_census_agrees_with_series(self):
-        delta = word_growth_coeffs(14)
+        delta = [d for d, _, _ in growth_series(14)[1]]
         assert [enumerate_normal_forms(n) for n in range(15)] == delta
 
     @given(st.integers(1, 300))
     @settings(max_examples=30)
     def test_series_identities(self, N):
-        delta = word_growth_coeffs(N)
+        delta = [d for d, _, _ in growth_series(N)[1]]
         gamma = automaton_growth_coeffs(N)
         ball = ball_growth_coeffs(N)
         assert gamma == divide_one_minus_xk(list(delta), 2)
@@ -220,7 +219,7 @@ class TestGrowthCoefficients:
         assert next(rows) == (1, 1, 1)
 
     def test_parity_sum(self):
-        delta = word_growth_coeffs(40)
+        delta = [d for d, _, _ in growth_series(40)[1]]
         gamma = automaton_growth_coeffs(40)
         for n in (0, 1, 7, 40):
             assert gamma[n] == sum(delta[i] for i in range(n % 2, n + 1, 2))

@@ -362,6 +362,22 @@ class TestStabilizedOracle:
         for nmax in range(1, 41):
             assert first_differs[nmax // 2 + 1] > nmax >= first_differs[nmax // 2]
 
+    def test_word_tables_count_the_series(self):
+        # a second route to the level rule that never runs the BFS: the distinct
+        # level-k tables of the words of length <= n (exactly n) are gamma_S(n)
+        # (gamma(n)) at k = n//2 + 1, and one level lower some of them merge
+        rows = list(growth_series(12)[1])
+        for n in range(1, 13):
+            k = n // 2 + 1
+            _, gamma, ball = rows[n]
+            spheres = [{word_table(I2, w, k) for w in product((0, 1), repeat=d)}
+                       for d in range(n + 1)]
+            assert (len(set().union(*spheres)), len(spheres[n])) == (ball, gamma)
+            words = (w for d in range(n + 1) for w in product((0, 1), repeat=d))
+            lower = {word_table(I2, w, k - 1) for w in words}
+            assert len(lower) < ball
+        assert (len(set().union(*spheres)), len(spheres[12]), len(lower)) == (143, 79, 141)
+
     @pytest.mark.parametrize("outputs", [(1, 0), (0, 0)])
     def test_only_i2_is_admitted(self, outputs):
         # one state: s swaps every letter (s^2 = 1) or e writes 0s (e^2 = e);
