@@ -24,8 +24,9 @@ def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
     """Stream ``rows``, tuples of cells in ``keys`` order, as CSV or JSON lines.
 
     Every line fills one template built from the keys, so an int prints in
-    full decimal and a float as its repr, as ``json.dumps`` would print them;
-    any other cell must already be its text for ``fmt`` (see ``_text``).
+    full decimal, as ``json.dumps`` would print it; no cell is a float, and
+    every other cell must already be its text for ``fmt`` (see ``_text``,
+    ``_six_places``).
     Each line goes to stdout as it is formatted, so ``rows`` can be a
     generator and one line is held.  CSV writes its header with the first
     row, and nothing when there is no row.
@@ -46,6 +47,23 @@ def _text(value, fmt: str) -> str:
     return json.dumps(value) if fmt == "json" else str(value)
 
 
+def _six_places(x: float) -> str:
+    """The text ``repr(round(x, 6))`` prints, from one conversion where that is exact.
+
+    Python converts floats to decimal and back correctly rounded, so
+    ``'%.6f' % x`` has the digits of ``round(x, 6)``.  For 1e-4 <= x < 1e9
+    those are at most 15 significant digits, which name one double and come
+    back as its shortest repr, and repr uses no exponent there; so cutting
+    the trailing zeros gives repr's text.  Elsewhere the two can differ (from
+    about 2**32 a double's repr can be shorter than its six places), so other
+    values take the two-step route.
+    """
+    if 1e-4 <= x < 1e9:
+        text = ("%.6f" % x).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(x, 6))
+
+
 # --- growth ----------------------------------------------------------------
 
 _GROWTH_KEYS = ("n", "delta", "gamma", "gamma_ball", "q",
@@ -63,8 +81,8 @@ def _growth_rows(q, rows, blank):
     for n, (d, g, b) in enumerate(rows, 1):
         qn = q[n]
         if qn:
-            yield (n, d, g, b, qn, round(d / qn / (cw * math.sqrt(n)), 6),
-                   round(g / qn / (ca * n), 6), round(b / qn / (cb * n), 6))
+            yield (n, d, g, b, qn, _six_places(d / qn / (cw * math.sqrt(n))),
+                   _six_places(g / qn / (ca * n)), _six_places(b / qn / (cb * n)))
         else:
             yield n, d, g, b, qn, blank, blank, blank
 
@@ -111,7 +129,7 @@ def cmd_quotient(args) -> int:
     layers = tables.enumerate_monoid(mealy.I2, n, spheres=args.depth is not None)
     order = layers.element_count
     term = math.log(order) / ((2**n - 1) * math.log(4))
-    row = (n, order, formula, _text(order == formula, args.format), round(term, 6))
+    row = (n, order, formula, _text(order == formula, args.format), _six_places(term))
     _emit_rows(("n", "order", "formula", "match", "hausdorff_term"), [row], args.format)
     if args.depth is not None:
         # the first depth+1 rows of the full BFS are those of a depth-limited one

@@ -24,7 +24,7 @@ import math
 import sys
 import weakref
 from array import array
-from itertools import count, filterfalse, zip_longest
+from itertools import zip_longest
 from operator import getitem, itemgetter
 
 from . import series
@@ -217,13 +217,14 @@ def _right_cayley(a: MealyAutomaton, level: int) -> list[list[int]]:
         while frontier:
             new_frontier = []
             for row, col in zip(rows, right):  # a frontier's products per state
-                prods = list(_right_products(frontier, row, below))
-                fresh = list(filterfalse(ids.__contains__, dict.fromkeys(prods)))
-                if len(ids) + len(fresh) > MAX_ELEMENTS:
-                    raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
-                ids.update(zip(fresh, count(len(ids))))
-                col += map(ids.__getitem__, prods)
-                new_frontier += fresh
+                for prod in _right_products(frontier, row, below):
+                    i = ids.get(prod)
+                    if i is None:
+                        if len(ids) >= MAX_ELEMENTS:
+                            raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
+                        i = ids[prod] = len(ids)
+                        new_frontier.append(prod)
+                    col.append(i)
             frontier = new_frontier
     return right
 

@@ -12,10 +12,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mealygrowth
 from mealygrowth import I2, MealyAutomaton, format_automaton, rewrite, series, tables
-from mealygrowth.cli import main
+from mealygrowth.cli import _six_places, main
+from reference_cli import reference_growth_output, reference_quotient_output
 
 
 def run(capsys, *argv):
@@ -94,6 +97,44 @@ class TestGrowth:
             assert row["delta_ratio"] == pytest.approx(3 / (series.WORD_QFORM * math.sqrt(n)))
             assert row["gamma_ratio"] == pytest.approx(5 / (series.AUTOMATON_QFORM * n))
             assert row["ball_ratio"] == pytest.approx(10 / (series.BALL_QFORM * n))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_print_the_reference_text(self, capsys, fmt):
+        # byte for byte the rows with each ratio printed as round(x, 6), then its repr
+        expected = reference_growth_output(3000, fmt)
+        assert run(capsys, "growth", "--N", "3000", "--format", fmt) == (0, expected, "")
+
+
+def _tie(j: int) -> float:
+    """The j-th double exactly halfway between two six-place decimals: (2k + 1) / (2 * 10**6)
+    is a double only when 5**6 divides 2k + 1, so the ties are x = (2j + 1) / 2**7."""
+    return (2 * j + 1) / 128
+
+
+# x and both neighbouring doubles of each: ties, near-ties and both ends of
+# the one-conversion range, with values on either side
+_EDGES = [
+    y
+    for x in (0.0, 1.0, 1e-4, 1e9, 9.99e-5, 2.1e11, 208599740457.51028,
+              _tie(0), _tie(1), _tie(6), _tie(12_800), _tie(64 * 10**9 - 1),
+              0.0000125, 0.1234565, 123456.7890125, 999999999.9999995, 0.00009995)
+    for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))
+]
+
+
+class TestSixPlaces:
+    def test_edges(self):
+        for x in _EDGES:
+            assert (x, _six_places(x)) == (x, repr(round(x, 6)))
+
+    @given(st.one_of(
+        st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=1e-4, max_value=1e9),
+        st.builds(lambda j, step: step(_tie(j)), st.integers(0, 2**37),
+                  st.sampled_from([lambda x: math.nextafter(x, 0), float,
+                                   lambda x: math.nextafter(x, math.inf)]))))
+    def test_matches_round_then_repr(self, x):
+        assert _six_places(x) == repr(round(x, 6))
 
 
 class _Discard(io.TextIOBase):
@@ -280,6 +321,12 @@ class TestQuotient:
         rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[3:]]
         assert rows == [(9, d, *r) for d, r in enumerate(
             zip(cut.cumulative, cut.sphere_sizes, cut.layer_sizes))]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_print_the_reference_text(self, capsys, fmt):
+        for n in range(1, 13):
+            expected = reference_quotient_output(n, fmt)
+            assert run(capsys, "quotient", "--n", str(n), "--format", fmt) == (0, expected, "")
 
     def test_level_13_fits_in_1_gib(self):
         # 204,802 elements; under the cap, a representation that does not
