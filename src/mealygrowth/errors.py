@@ -1,4 +1,7 @@
-"""The exception types and the value-class base that every module shares."""
+"""The exception types, the value-class base and the collector pause that every module shares."""
+
+import functools
+import gc
 
 
 class CapacityError(RuntimeError):
@@ -49,3 +52,29 @@ class Value:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def gc_paused(kernel):
+    """Run ``kernel`` with the cyclic garbage collector disabled, then re-enable
+    it if it was enabled on entry, also when the kernel raises.
+
+    Only for kernels that build no reference cycles (int tuples, int lists,
+    dicts keyed by them): reference counting frees all of it, so the
+    collector's scans of those objects find nothing and only cost time.
+
+    The pause is process-wide: while the kernel runs, no thread's cyclic
+    garbage is collected. Saving and restoring the collector's state assumes
+    one thread calls into the library; a thread that changes it meanwhile,
+    or a second kernel running alongside, can find it reset on return.
+    """
+    @functools.wraps(kernel)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused

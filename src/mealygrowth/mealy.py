@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .errors import AutomatonFormatError, CapacityError, Value
+from .errors import AutomatonFormatError, CapacityError, Value, gc_paused
 
 # Minimizing a product peaks at about 430 bytes a state: the 10**6-state square
 # of a 1,000-state automaton refines in 8-9 s of CPU at 422 MiB peak RSS
@@ -133,6 +133,7 @@ def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
     return result
 
 
+@gc_paused
 def minimize(a: MealyAutomaton) -> MealyAutomaton:
     """Collapse states inducing equal transformations (``_refine``).
 
@@ -235,6 +236,7 @@ def _refine(trans, outs):
             [[c[q] for q in reps] for c in outs]), reps
 
 
+@gc_paused
 def automaton_growth(a: MealyAutomaton, N: int) -> list[int]:
     """State counts of the minimized powers a^1 .. a^N.
 

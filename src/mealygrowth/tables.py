@@ -28,7 +28,7 @@ from itertools import zip_longest
 from operator import getitem, itemgetter
 
 from . import series
-from .errors import CapacityError, Value, VerificationError
+from .errors import CapacityError, Value, VerificationError, gc_paused
 from .mealy import I2, MealyAutomaton
 
 MAX_ELEMENTS = 2_000_000
@@ -229,6 +229,7 @@ def _right_cayley(a: MealyAutomaton, level: int) -> list[list[int]]:
     return right
 
 
+@gc_paused
 def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None,
                      spheres: bool = True) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).

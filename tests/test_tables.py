@@ -203,10 +203,10 @@ class TestEnumeration:
         return formed
 
     def test_element_cap_stops_within_a_layer(self, monkeypatch):
-        # the cap is checked as each element of the top level, or each
-        # state's products of a depth below it, is recorded, not after a
-        # depth.  It is crossed in level 8's first depth past |S_7| elements,
-        # at the top (level 8) or one level below it (level 9).
+        # the cap is checked as each new element is recorded, at the top
+        # level and at every level below it, not after a depth.  It is
+        # crossed in level 8's first depth past |S_7| elements, at the top
+        # (level 8) or one level below it (level 9).
         full = enumerate_monoid(I2, 8, spheres=False)
         d = 1 + next(i for i, n in enumerate(full.cumulative) if n > i2_quotient_order_formula(7))
         cap = full.cumulative[d - 1] + 5
@@ -225,8 +225,8 @@ class TestEnumeration:
         top, lower = calls
         # the top level stops within the first state's products of the depth
         assert before < top < before + (through - before) // 2
-        # level 8 is built below level 9 one state's products at a time, so
-        # it stops before the depth is complete
+        # level 8 is built below level 9 with the same per-element check,
+        # so it stops before the depth is complete
         assert before < lower < through
 
     def test_products_formed_at_level_11(self, monkeypatch):
