@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import add
 
 from . import mealy, rewrite, series, tables
-from .errors import AutomatonFormatError, CapacityError, VerificationError
+from .errors import CapacityError, VerificationError
 
 
 def _emit_rows(keys: tuple[str, ...], rows, fmt: str):
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, AutomatonFormatError, CapacityError, OSError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError) as exc:

@@ -15,8 +15,8 @@ Every element has a canonical minimal word: empty, ``0``, or
 with strictly increasing exponents p_1 < ... < p_k.  The word problem is
 decided in one left-to-right pass, linear in the word length: each letter
 applies at most one relation, every application shortens the word by two
-letters, so applications are counted as, and bounded by, half the length
-drop.
+letters, so the applications number exactly half the length drop, which
+bounds them by half the word length.
 """
 
 from __future__ import annotations
@@ -108,41 +108,43 @@ def nf_to_word(nf: NormalForm) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _stream_reduce(word) -> tuple[NormalForm, int, int]:
-    """One left-to-right pass: (normal form, relation applications, letters).
+def _stream_reduce(word) -> tuple[NormalForm, int]:
+    """One left-to-right pass: (normal form, relation applications).
 
-    After each letter the state is the normal form of the prefix read so
-    far, 0^eps1 1 (01)^{p_1} 1 ... (01)^{p_k} 1 (01)^{tail} 0^{pending},
-    with p_1 < ... < p_k on ``stack``.  A new letter triggers at most one
-    relation, after which the state is a normal form again, so each letter
-    costs O(1).
+    The first loop reads the 0s before the first f1, where 00 = empty
+    leaves 0^eps1; a word without f1 ends there.  The second loop reads
+    the rest: after each letter the state is the normal form of the prefix
+    read so far, 0^eps1 1 (01)^{p_1} 1 ... (01)^{p_k} 1 (01)^{tail}
+    0^{pending}, with p_1 < ... < p_k on ``stack``, and a letter triggers
+    at most one relation, in O(1).
     """
+    letters = iter(word)
     eps1 = 0
-    started = False
+    steps = 0
+    for c in letters:
+        if c == 0:
+            steps += eps1  # 00 = empty
+            eps1 ^= 1
+        elif c == 1:
+            break
+        else:
+            raise ValueError(f"invalid generator {c!r}")
+    else:
+        return (F0 if eps1 else ONE), steps
     stack: list[int] = []
     tail = 0
     pending = False
-    steps = 0
-    letters = 0
-    for c in word:
-        letters += 1
+    for c in letters:
         if c == 0:
             if pending:  # 00 = empty
                 pending = False
                 steps += 1
-            elif started:
-                pending = True
-            elif eps1:  # 00 = empty, before the first f1
-                eps1 = 0
-                steps += 1
             else:
-                eps1 = 1
+                pending = True
         elif c == 1:
             if pending:  # extend the open block by 01
                 pending = False
                 tail += 1
-            elif not started:
-                started = True
             elif tail and stack and stack[-1] >= tail:
                 # r_p with p = tail: 1 (01)^p 1 (01)^p 1 = 1 (01)^p 1 (01)^{p-1} 0
                 tail -= 1
@@ -157,9 +159,7 @@ def _stream_reduce(word) -> tuple[NormalForm, int, int]:
                 tail = 0
         else:
             raise ValueError(f"invalid generator {c!r}")
-    if not started:
-        return (F0 if eps1 else ONE), steps, letters
-    return General(eps1, tuple(stack), tail, int(pending)), steps, letters
+    return General(eps1, tuple(stack), tail, int(pending)), steps
 
 
 def reduce_detailed(word) -> tuple[NormalForm, int]:
@@ -167,17 +167,16 @@ def reduce_detailed(word) -> tuple[NormalForm, int]:
 
     The decider is one left-to-right pass, linear in the word length.
     Every application (00-cancellation, 111-collapse, or r_p) shortens the
-    word by exactly two letters, so the count is half the length drop and
-    at most len(word)//2; both facts are checked on every call.
+    word by exactly two letters, so 2 * steps == len(word) - |nf|, checked
+    on every call, also under ``python -O``.  Since |nf| >= 0, the identity
+    implies steps <= len(word) // 2.
     """
-    nf, steps, letters = _stream_reduce(word)
-    budget = letters // 2
-    if steps > budget:
-        raise VerificationError(f"{steps} relation applications exceed the bound {budget}")
-    if 2 * steps != letters - nf.word_length:
+    word = tuple(word)
+    nf, steps = _stream_reduce(word)
+    if 2 * steps != len(word) - nf.word_length:
         raise VerificationError(
             f"{steps} relation applications do not account for the length drop "
-            f"{letters} -> {nf.word_length}"
+            f"{len(word)} -> {nf.word_length}"
         )
     return nf, steps
 

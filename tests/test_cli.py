@@ -529,3 +529,11 @@ class TestAutomaton:
         code, _, err = run(capsys, "automaton", "no_such.aut", "growth")
         assert code == 2
         assert "error" in err
+
+    def test_malformed_file(self, capsys, tmp_path):
+        # an AutomatonFormatError is a ValueError: exit 2, the line named
+        path = tmp_path / "short.aut"
+        path.write_text(format_automaton(I2).replace("trans 0 0", "trans 0"))
+        code, out, err = run(capsys, "automaton", str(path), "growth")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: line 3: expected 2 trans and out entries"]

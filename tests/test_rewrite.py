@@ -151,6 +151,18 @@ class TestReduce:
         # level high enough to separate anything these short words produce
         assert same == (word_table(I2, w1, 9) == word_table(I2, w2, 9))
 
+    @pytest.mark.parametrize("word", [(2,), (0, 0, 2), (1, 0, 2), (0, 1, 1, 2, 1)])
+    def test_invalid_generator(self, word):
+        # before the first f1 and after it
+        with pytest.raises(ValueError, match="^invalid generator 2$"):
+            reduce_detailed(word)
+
+    @given(words | block_words)
+    def test_any_iterable(self, w):
+        expected = reduce_detailed(w)
+        assert reduce_detailed(list(w)) == expected
+        assert reduce_detailed(c for c in w) == expected
+
     def test_random_relation_insertions_preserve_class(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -177,9 +189,10 @@ class TestLongWords:
         assert word_table(I2, w, 12) == word_table(I2, nf_to_word(reduce(w)), 12)
 
 
-# Run under ``python -O``: the step identity must not be an assert.  Two
-# applications for 1011011 -> 10110 stay within the bound of 3, so only the
-# identity 2 * steps == 7 - 5 catches the miscount.
+# Run under ``python -O``: the step identity must not be an assert.  The
+# reduction 1011011 -> 10110 is one application of r_1, and the stub adds
+# DELTA to the count.  2 * steps == 7 - 5 is the only accounting check: it
+# catches every miscount, and since |nf| >= 0 it rules out a count past 7 // 2.
 _STEP_MISCOUNT = """
 import sys
 from mealygrowth import VerificationError, cli, rewrite
@@ -187,8 +200,8 @@ from mealygrowth import VerificationError, cli, rewrite
 stream = rewrite._stream_reduce
 
 def miscount(word):
-    nf, steps, letters = stream(word)
-    return nf, steps + 1, letters
+    nf, steps = stream(word)
+    return nf, steps + DELTA
 
 rewrite._stream_reduce = miscount
 try:
@@ -199,17 +212,26 @@ sys.exit(cli.main(["reduce", "1011011"]))
 """
 
 
-def test_step_miscount_fails_under_optimize():
+def _check_miscount(delta):
     src = Path(mealygrowth.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _STEP_MISCOUNT],
+        [sys.executable, "-O", "-c", _STEP_MISCOUNT.replace("DELTA", str(delta))],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    message = "2 relation applications do not account for the length drop 7 -> 5"
+    message = f"{1 + delta} relation applications do not account for the length drop 7 -> 5"
     assert proc.stdout == f"raised: {message}\n"
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_step_miscount_fails_under_optimize():
+    _check_miscount(1)
+
+
+def test_steps_past_half_the_length_fail_under_optimize():
+    # 4 > 7 // 2: the identity alone catches what a bound check would
+    _check_miscount(3)
 
 
 class TestQuotient:
