@@ -4,14 +4,12 @@ from .errors import AutomatonFormatError, CapacityError, VerificationError
 from .mealy import (
     I2,
     MealyAutomaton,
-    apply,
     automaton_growth,
     format_automaton,
     is_invertible,
     load_automaton,
     minimize,
     parse_automaton,
-    power,
     product,
 )
 from .rewrite import (
@@ -49,7 +47,6 @@ from .tables import (
     TransformTable,
     ball_growth_oracle,
     enumerate_monoid,
-    hausdorff_sequence,
     i2_quotient_order_formula,
     spherical_growth_oracle,
     stabilized_growth_table,

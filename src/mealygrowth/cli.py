@@ -216,8 +216,6 @@ def cmd_automaton(args) -> int:
         counts = mealy.automaton_growth(a, args.N)
         print(",".join(str(c) for c in counts))
     elif args.action == "product":
-        if args.with_file is None:
-            raise ValueError("product action requires --with FILE")
         b = mealy.load_automaton(args.with_file)
         sys.stdout.write(mealy.format_automaton(mealy.product(a, b)))
     return 0
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     actions.add_parser("minimize")
     actions.add_parser("invertible")
     actions.add_parser("product").add_argument(
-        "--with", dest="with_file", default=None, metavar="FILE")
+        "--with", dest="with_file", required=True, metavar="FILE")
 
     return parser
 

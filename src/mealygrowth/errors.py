@@ -19,7 +19,6 @@ class AutomatonFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class Value:

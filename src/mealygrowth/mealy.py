@@ -76,20 +76,6 @@ I2 = MealyAutomaton(
 )
 
 
-def apply(a: MealyAutomaton, q: int, word) -> tuple[int, ...]:
-    """Run the transducer from state ``q`` over ``word``; returns the output word."""
-    if not 0 <= q < a.state_count:
-        raise ValueError(f"state {q} out of range")
-    out = []
-    cur = q
-    for x in word:
-        if not 0 <= x < a.alphabet_size:
-            raise ValueError(f"letter {x} out of range for alphabet of size {a.alphabet_size}")
-        out.append(a.outputs[cur][x])
-        cur = a.transitions[cur][x]
-    return tuple(out)
-
-
 def is_invertible(a: MealyAutomaton) -> bool:
     """True iff every state's output map is a permutation of the alphabet."""
     return all(len(set(row)) == a.alphabet_size for row in a.outputs)
@@ -122,16 +108,6 @@ def _product(left_columns, b: MealyAutomaton):
         trans[x][q2::nb] = [t1 * nb + t for t1 in l_trans[y]]
         outs[x][q2::nb] = l_outs[y]
     return trans, outs
-
-
-def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
-    """n-fold left-associated product of ``a`` with itself."""
-    if n < 1:
-        raise ValueError("power requires n >= 1")
-    result = a
-    for _ in range(n - 1):
-        result = product(result, a)
-    return result
 
 
 @gc_paused

@@ -339,13 +339,3 @@ def i2_quotient_order_formula(n: int) -> int:
     if n < 1:
         raise ValueError("level must be >= 1")
     return 2 + (2 * n - 1) * 2**n
-
-
-def hausdorff_sequence(K: int) -> list[float]:
-    """log|S_n| / log|End_n| for n = 1..K (binary tree, I2 quotients)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return [
-        math.log(i2_quotient_order_formula(n)) / ((2**n - 1) * math.log(4))
-        for n in range(1, K + 1)
-    ]

@@ -44,5 +44,6 @@ def reference_growth_output(N: int, fmt: str) -> str:
 def reference_quotient_output(n: int, fmt: str) -> str:
     """stdout of ``quotient --n n --format fmt`` when the order matches the formula."""
     order = tables.i2_quotient_order_formula(n)
-    row = (n, order, order, True, round(tables.hausdorff_sequence(n)[-1], 6))
+    term = math.log(order) / ((2**n - 1) * math.log(4))
+    row = (n, order, order, True, round(term, 6))
     return _lines(QUOTIENT_KEYS, [row], fmt)

