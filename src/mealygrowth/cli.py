@@ -123,10 +123,11 @@ def cmd_quotient(args) -> int:
     if args.depth is not None and args.depth < 0:
         raise ValueError("depth must be non-negative")
     n = args.n
+    tables.check_level(max(n, 1))  # before 2**n; the formula refuses n < 1 itself
     formula = tables.i2_quotient_order_formula(n)
     if formula > tables.MAX_ELEMENTS:  # fail fast, before the BFS stores them
         raise CapacityError(f"element count {formula} exceeds cap {tables.MAX_ELEMENTS}")
-    layers = tables.enumerate_monoid(mealy.I2, n, spheres=args.depth is not None)
+    layers = tables.enumerate_monoid(mealy.I2, n)
     order = layers.element_count
     term = math.log(order) / ((2**n - 1) * math.log(4))
     row = (n, order, formula, _text(order == formula, args.format), _six_places(term))

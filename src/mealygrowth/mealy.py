@@ -282,7 +282,7 @@ def parse_automaton(text: str) -> MealyAutomaton:
 def _parse_header(entry, keyword):
     lineno, line = entry
     parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
         raise AutomatonFormatError(f"expected '{keyword} <count>'", line=lineno)
     return int(parts[1])
 

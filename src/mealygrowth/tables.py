@@ -159,6 +159,7 @@ def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
     """Level-k table of a product of states, leftmost factor applied last."""
     global _live_store
     check_level(k)
+    word = tuple(word)  # read twice: an iterator would be spent by the range check
     for q in set(word):  # once per state, not per letter
         if not 0 <= q < a.state_count:
             raise ValueError(f"state {q} out of range")
@@ -175,7 +176,7 @@ def word_table(a: MealyAutomaton, word, k: int) -> TransformTable:
 
 
 class GrowthLayers(Value):
-    """Ball/sphere/word growth data of one BFS enumeration.
+    """Ball/sphere/word growth data of one BFS enumeration, one entry per depth.
 
     ``layer_sizes[d]`` counts elements first reached at depth d (word
     growth of the enumerated quotient), ``cumulative[d]`` is the ball
@@ -184,10 +185,10 @@ class GrowthLayers(Value):
     exactly d generators when some generator is an involution (I2's f0).
     """
 
-    __slots__ = ("layer_sizes", "cumulative", "sphere_sizes", "saturated")
+    __slots__ = ("layer_sizes", "cumulative", "sphere_sizes")
 
-    def __init__(self, layer_sizes: list, cumulative: list, sphere_sizes: list, saturated: bool):
-        self._set(layer_sizes, cumulative, sphere_sizes, saturated)
+    def __init__(self, layer_sizes: list, cumulative: list, sphere_sizes: list):
+        self._set(layer_sizes, cumulative, sphere_sizes)
 
     @property
     def element_count(self) -> int:
@@ -230,8 +231,7 @@ def _right_cayley(a: MealyAutomaton, level: int) -> list[list[int]]:
 
 
 @gc_paused
-def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None,
-                     spheres: bool = True) -> GrowthLayers:
+def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None) -> GrowthLayers:
     """BFS closure of the level quotient of ``a``'s monoid (identity included).
 
     An element is its flat node tuple, so equality is exact, and each depth's
@@ -241,10 +241,9 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
     (``_right_cayley``).  A ball (``max_depth``, as the stabilization oracle
     runs it) meets only the sections within its radius, where every level
     below in full could be far over the cap, so it reads the lazy maps of a
-    store local to this call.  When ``spheres`` is set, an element is
-    expanded again when first reached at the other length parity;
-    ``sphere_sizes`` is as described in ``GrowthLayers``.  Recording more
-    than ``MAX_ELEMENTS`` elements, at any level, raises ``CapacityError``.
+    store local to this call.  An element is expanded once per length parity
+    it is reached at, which fills ``sphere_sizes``.  Recording more than
+    ``MAX_ELEMENTS`` elements, at any level, raises ``CapacityError``.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
@@ -261,7 +260,7 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
         store = _Store()  # the BFS's own products are neither memoized nor interned
         store.identity(a.alphabet_size, level - 1)  # first at every level, so id 0
         below = store.right(a, level - 1)
-    # bit p of seen[x]: x is the product of some word of a length of parity p
+    # bit p of seen[x]: x is the product of some word of a length of parity p (absent: 0)
     seen = {ident: 1}
     frontier = [ident]
     layer_sizes, cumulative, sphere_sizes = [1], [1], [1]
@@ -272,15 +271,12 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
         new_frontier = []
         for g in gens:
             for prod in _right_products(frontier, g, below):
-                bits = seen.get(prod)
-                if bits is None:
-                    if len(seen) >= MAX_ELEMENTS:
-                        raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
-                    seen[prod] = bit
-                elif spheres and not bits & bit:
-                    seen[prod] = bits | bit
-                else:
+                bits = seen.get(prod, 0)
+                if bits & bit:
                     continue
+                if not bits and len(seen) >= MAX_ELEMENTS:
+                    raise CapacityError(f"element count exceeded cap {MAX_ELEMENTS}")
+                seen[prod] = bits | bit
                 new_frontier.append(prod)
         layer_sizes.append(len(seen) - cumulative[-1])
         cumulative.append(len(seen))
@@ -290,7 +286,7 @@ def enumerate_monoid(a: MealyAutomaton, level: int, max_depth: int | None = None
     # depth d, so sphere(d) sums the frontier sizes at depths d, d-2, ...
     for d in range(2, len(sphere_sizes)):
         sphere_sizes[d] += sphere_sizes[d - 2]
-    return GrowthLayers(layer_sizes, cumulative, sphere_sizes if spheres else [], not frontier)
+    return GrowthLayers(layer_sizes, cumulative, sphere_sizes)
 
 
 def stabilized_growth_table(a: MealyAutomaton, nmax: int) -> list[tuple[int, int]]:

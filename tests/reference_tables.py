@@ -45,8 +45,8 @@ def reference_word_table(a, word, k: int) -> list[int]:
     return result
 
 
-def reference_enumerate(gens: list[list[int]], max_depth=None, spheres=True):
-    """(layer_sizes, cumulative, sphere_sizes, saturated) of the BFS closure
+def reference_enumerate(gens: list[list[int]], max_depth=None):
+    """(layer_sizes, cumulative, sphere_sizes) of the BFS closure
     of the monoid generated by ``gens`` (identity included)."""
     ident = list(range(len(gens[0])))
     # minimal reachable length per parity (even slot, odd slot)
@@ -70,16 +70,15 @@ def reference_enumerate(gens: list[list[int]], max_depth=None, spheres=True):
                     rec[par] = depth
                     new_elements += 1
                     new_frontier.append((prod, True))
-                elif spheres and rec[par] == _UNSEEN:
+                elif rec[par] == _UNSEEN:
                     rec[par] = depth
                     new_frontier.append((prod, False))
         layer_sizes.append(new_elements)
         cumulative.append(cumulative[-1] + new_elements)
         frontier = new_frontier
 
-    saturated = not frontier
-    sphere_sizes = _sphere_counts(dist.values(), len(cumulative) - 1) if spheres else []
-    return layer_sizes, cumulative, sphere_sizes, saturated
+    sphere_sizes = _sphere_counts(dist.values(), len(cumulative) - 1)
+    return layer_sizes, cumulative, sphere_sizes
 
 
 def _sphere_counts(records, max_depth: int) -> list[int]:

@@ -55,7 +55,7 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 
 def test_01_quotient_orders():
     start = time.monotonic()
-    orders = [enumerate_monoid(I2, n, spheres=False).element_count for n in range(1, 13)]
+    orders = [enumerate_monoid(I2, n).element_count for n in range(1, 13)]
     elapsed = time.monotonic() - start
     expected = [i2_quotient_order_formula(n) for n in range(1, 13)]
     ok = orders == expected and elapsed < 60

@@ -419,6 +419,10 @@ class TestVerify:
     ["verify", "relations", "--pmax", "0", "--nmax", str(tables.MAX_LEVEL)],
     # 1,210,000 product states
     ["automaton", "{big}", "product", "--with", "{big}"],
+    # the level bound is checked before 2**n is formed and printed
+    ["quotient", "--n", "14000"],
+    ["quotient", "--n", "15000"],
+    ["quotient", "--n", "10000000000"],
 ])
 def test_oversized_requests_fail_fast(tmp_path, argv):
     # the caps are checked before any BFS, series or product; one that
@@ -441,7 +445,7 @@ def test_oversized_requests_fail_fast(tmp_path, argv):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ") and " exceeds " in line
+    assert line.startswith("error: ") and " exceeds " in line and len(line.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", [

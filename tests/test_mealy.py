@@ -252,6 +252,19 @@ class TestGrowth:
             automaton_growth(I2, 10)
         assert refined == [2, 4]  # the cap stops the 8-state product before it is built
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["successor", "output"])
+    def test_product_entry_out_of_range(self, monkeypatch, column):
+        product = mealy._product
+
+        def corrupt(left_columns, b):
+            columns = product(left_columns, b)
+            columns[column][0][0] = 2  # one past I2's states and its letters
+            return columns
+
+        monkeypatch.setattr(mealy, "_product", corrupt)
+        with pytest.raises(ValueError, match="^product table entry out of range$"):
+            automaton_growth(I2, 3)
+
     def test_cap_covers_the_first_power(self, monkeypatch):
         monkeypatch.setattr(mealy, "MAX_STATES", 1)
         with pytest.raises(CapacityError, match="^product of 2 states exceeds cap 1$"):
@@ -323,3 +336,6 @@ class TestFormat:
     def test_malformed_header(self):
         with pytest.raises(AutomatonFormatError):
             parse_automaton("alphabet two\nstates 1\n")
+        # a digit that int() does not read is refused with the line, not by int()
+        with pytest.raises(AutomatonFormatError, match="^line 1: expected 'alphabet <count>'$"):
+            parse_automaton("alphabet \u00b2\nstates 1\n")

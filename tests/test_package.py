@@ -77,12 +77,10 @@ collector_off = pytest.mark.parametrize("collector", [False], ids=["disabled"], 
 @collector_off
 @pytest.mark.parametrize("call", [
     lambda: enumerate_monoid(I2, 6),
-    lambda: enumerate_monoid(I2, 6, spheres=False),
     lambda: enumerate_monoid(I2, 5, max_depth=9),
-    lambda: enumerate_monoid(I2, 5, max_depth=9, spheres=False),
     lambda: automaton_growth(I2, 30),
     lambda: minimize(power(I2, 4)),
-], ids=["closure", "closure-no-spheres", "ball", "ball-no-spheres", "growth", "minimize"])
+], ids=["closure", "ball", "growth", "minimize"])
 def test_kernels_leave_no_cycles(collector, call):
     # the pause is safe only because reference counting alone frees
     # everything a kernel builds: nothing is left for the collector

@@ -143,6 +143,8 @@ class TestCompose:
         for q in w:  # leftmost factor applied last = composed first
             outputs = reference_compose(outputs, list(table_of(I2, q, k).outputs))
         assert list(word_table(I2, w, k).outputs) == outputs
+        # a generator is read once, so the range check does not spend it
+        assert word_table(I2, (q for q in w), k) == word_table(I2, w, k)
 
     def test_dropped_tables_keep_no_memory(self):
         # a memory bound, not a timing gate: a store lives only as long as
@@ -166,11 +168,10 @@ class TestEnumeration:
     def test_level1_monoid(self):
         layers = enumerate_monoid(I2, 1)
         assert layers.element_count == 4
-        assert layers.saturated
 
     def test_quotient_orders_small(self):
         for n in (1, 2, 3):
-            order = enumerate_monoid(I2, n, spheres=False).element_count
+            order = enumerate_monoid(I2, n).element_count
             assert order == i2_quotient_order_formula(n)
 
     def test_sphere_vs_ball_level2(self):
@@ -183,7 +184,7 @@ class TestEnumeration:
     def test_element_cap(self, monkeypatch):
         monkeypatch.setattr(tables, "MAX_ELEMENTS", 50)
         with pytest.raises(CapacityError):
-            enumerate_monoid(I2, 6, spheres=False)
+            enumerate_monoid(I2, 6)
 
     @staticmethod
     def count_products(monkeypatch):
@@ -206,74 +207,87 @@ class TestEnumeration:
         # level and at every level below it, not after a depth.  It is
         # crossed in level 8's first depth past |S_7| elements, at the top
         # (level 8) or one level below it (level 9).
-        full = enumerate_monoid(I2, 8, spheres=False)
+        full = enumerate_monoid(I2, 8)
         d = 1 + next(i for i, n in enumerate(full.cumulative) if n > i2_quotient_order_formula(7))
         cap = full.cumulative[d - 1] + 5
         assert full.cumulative[d] > cap + 100
-        # I2 has 2 states: at level j, each element times each state once
+        # I2 has 2 states: below the top, each element times each state once
         below = 2 * sum(i2_quotient_order_formula(j) for j in range(1, 8))
         before, through = below + 2 * full.cumulative[d - 2], below + 2 * full.cumulative[d - 1]
+        # the top expands an element once per parity: through depth j, the
+        # frontiers at depths 0..j, sphere(j) + sphere(j-1) elements
+        top_before, top_through = (below + 2 * sum(full.sphere_sizes[j - 1:j + 1])
+                                   for j in (d - 2, d - 1))
         formed = self.count_products(monkeypatch)
         monkeypatch.setattr(tables, "MAX_ELEMENTS", cap)
         calls = []
         for level in (8, 9):
             formed.clear()
             with pytest.raises(CapacityError, match=f"^element count exceeded cap {cap}$"):
-                enumerate_monoid(I2, level, spheres=False)
+                enumerate_monoid(I2, level)
             calls.append(sum(n for _, n in formed.values()))
         top, lower = calls
         # the top level stops within the first state's products of the depth
-        assert before < top < before + (through - before) // 2
+        assert top_before < top < top_before + (top_through - top_before) // 2
         # level 8 is built below level 9 with the same per-element check,
         # so it stops before the depth is complete
         assert before < lower < through
 
     def test_products_formed_at_level_11(self, monkeypatch):
         # a faster kernel must not form fewer products: one per element and
-        # generator at every level, 86,020 at the top and 69,684 below
+        # generator at every level below, 69,684 in all, and at the top one
+        # per generator and expansion, 90,116
         formed = self.count_products(monkeypatch)
-        layers = enumerate_monoid(I2, 11, spheres=False)
+        layers = enumerate_monoid(I2, 11)
         assert layers.element_count == 43_010
         counts = [n for _, n in formed.values()]
-        assert counts == [2 * i2_quotient_order_formula(j) for j in range(1, 12)]
-        assert (counts[-1], sum(counts[:-1])) == (86_020, 69_684)
+        assert counts[:-1] == [2 * i2_quotient_order_formula(j) for j in range(1, 11)]
+        assert (counts[-1], sum(counts[:-1]), sum(counts)) == (90_116, 69_684, 159_800)
 
-    @given(automaton_words(0), st.integers(0, 6), st.booleans())
+    def test_full_closure_expands_only_the_left_zeros_twice(self, monkeypatch):
+        # an element is expanded once per parity it is reached at; in I2's
+        # level-k quotient only the 2**k left zeros are reached at both
+        formed = self.count_products(monkeypatch)
+        for k in range(1, 12):
+            formed.clear()
+            enumerate_monoid(I2, k)
+            top = [n for _, n in formed.values()][-1]
+            assert top == 2 * (i2_quotient_order_formula(k) + 2**k)
+
+    @given(automaton_words(0), st.integers(0, 6))
     @settings(deadline=None)
-    def test_matches_reference(self, case, depth, spheres):
+    def test_matches_reference(self, case, depth):
         a, k, _ = case
-        layers = enumerate_monoid(a, k, max_depth=depth, spheres=spheres)
+        layers = enumerate_monoid(a, k, max_depth=depth)
         ref_gens = reference_state_tables(a, k)
         assert (
-            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
-        ) == reference_enumerate(ref_gens, max_depth=depth, spheres=spheres)
+            layers.layer_sizes, layers.cumulative, layers.sphere_sizes
+        ) == reference_enumerate(ref_gens, max_depth=depth)
 
-    @given(st.data(), st.booleans())
+    @given(st.data())
     @settings(deadline=None)
-    def test_full_closure_matches_reference(self, data, spheres):
+    def test_full_closure_matches_reference(self, data):
         # the bulk route; m**k <= 8 keeps the closures small (m**k = 9 can
         # reach 137,743 elements)
         a = data.draw(automata())
         k = data.draw(st.sampled_from([k for k in range(5) if a.alphabet_size**k <= 8]))
-        layers = enumerate_monoid(a, k, spheres=spheres)
+        layers = enumerate_monoid(a, k)
         assert (
-            layers.layer_sizes, layers.cumulative, layers.sphere_sizes, layers.saturated
-        ) == reference_enumerate(reference_state_tables(a, k), spheres=spheres)
+            layers.layer_sizes, layers.cumulative, layers.sphere_sizes
+        ) == reference_enumerate(reference_state_tables(a, k))
 
-    @pytest.mark.parametrize("spheres", [False, True])
-    def test_full_closure_matches_saturated_ball(self, spheres):
+    def test_full_closure_matches_saturated_ball(self):
         # the bulk and the memoized route check each other: a ball run past
         # the saturation depth is the full closure
         for k in range(11):
-            full = enumerate_monoid(I2, k, spheres=spheres)
-            ball = enumerate_monoid(I2, k, max_depth=len(full.cumulative), spheres=spheres)
-            assert full.saturated and full == ball
+            full = enumerate_monoid(I2, k)
+            assert full == enumerate_monoid(I2, k, max_depth=len(full.cumulative))
 
     def test_bfs_memory_is_freed_on_return(self):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layers = enumerate_monoid(I2, 10, spheres=False)
+            layers = enumerate_monoid(I2, 10)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,7 +301,7 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layers = enumerate_monoid(I2, 11, spheres=False)
+            layers = enumerate_monoid(I2, 11)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

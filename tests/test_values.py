@@ -53,7 +53,7 @@ def test_keyword_construction():
     (lambda: ONE, "word_length"),
     (lambda: F0, "word_length"),
     (lambda: word_table(I2, (0, 1), 3), "node"),
-    (lambda: enumerate_monoid(I2, 2), "saturated"),
+    (lambda: enumerate_monoid(I2, 2), "sphere_sizes"),
 ])
 def test_fields_cannot_be_assigned_or_deleted(make, field):
     value = make()
@@ -89,8 +89,8 @@ def test_repr_names_the_fields():
     assert repr(ONE) == "One()"
     assert repr(AsymptoteSpec(1.5, -0.75, 2.0)) == (
         "AsymptoteSpec(prefactor=1.5, power=-0.75, exponent_coefficient=2.0)")
-    assert repr(GrowthLayers([1], [1], [1], True)) == (
-        "GrowthLayers(layer_sizes=[1], cumulative=[1], sphere_sizes=[1], saturated=True)")
+    assert repr(GrowthLayers([1], [1], [1])) == (
+        "GrowthLayers(layer_sizes=[1], cumulative=[1], sphere_sizes=[1])")
 
 
 def test_table_repr_leaves_out_its_store():
